@@ -13,11 +13,22 @@ function or of its derivative (G_j, dG_j, F_i, or grad F_i); the
 Component indices are 1-based in every public signature (i in 1..n,
 j in 1..m); conversion to 0-based array indexing happens inside the
 concrete problem classes and nowhere else.
+
+Query path contract: every charged query is exactly one call of a
+module-level ``query_*`` helper, which checks the index, charges the
+ledger by 1 and evaluates one component.  Each helper checks its output
+for finiteness per query.  For arrays the first test is the squared
+norm ``vdot(out, out)``: any NaN or infinite entry makes it non-finite.
+Only when it is non-finite does the exact elementwise test run, so
+finite outputs whose squared norm overflows still pass, and the set of
+outputs that raise :class:`EvaluationError` is exactly the set with a
+non-finite entry.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,24 +146,15 @@ class CompositionProblem(abc.ABC):
         """grad F_i(w), i in 1..n_outer; returns a length-M vector."""
 
 
-def _check_inner_index(problem: CompositionProblem, j: int) -> None:
-    if not 1 <= j <= problem.m_inner:
-        raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
-
-
-def _check_outer_index(problem: CompositionProblem, i: int) -> None:
-    if not 1 <= i <= problem.n_outer:
-        raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
-
-
 def query_inner_value(
     problem: CompositionProblem, j: int, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Evaluate G_j(x), charging one inner-value query."""
-    _check_inner_index(problem, j)
+    if not 1 <= j <= problem.m_inner:
+        raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_value_queries += 1
     out = problem.inner_component(j, x)
-    if not np.all(np.isfinite(out)):
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"inner component {j} returned a non-finite value")
     return out
 
@@ -161,10 +163,11 @@ def query_inner_jacobian(
     problem: CompositionProblem, j: int, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Evaluate dG_j(x), charging one inner-Jacobian query."""
-    _check_inner_index(problem, j)
+    if not 1 <= j <= problem.m_inner:
+        raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_jacobian_queries += 1
     out = problem.inner_component_jacobian(j, x)
-    if not np.all(np.isfinite(out)):
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"inner Jacobian {j} returned a non-finite value")
     return out
 
@@ -173,10 +176,11 @@ def query_outer_value(
     problem: CompositionProblem, i: int, w: np.ndarray, ledger: QueryLedger
 ) -> float:
     """Evaluate F_i(w), charging one outer-value query."""
-    _check_outer_index(problem, i)
+    if not 1 <= i <= problem.n_outer:
+        raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
     ledger.outer_value_queries += 1
     out = float(problem.outer_component(i, w))
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise EvaluationError(f"outer component {i} returned a non-finite value")
     return out
 
@@ -185,10 +189,11 @@ def query_outer_gradient(
     problem: CompositionProblem, i: int, w: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Evaluate grad F_i(w), charging one outer-gradient query."""
-    _check_outer_index(problem, i)
+    if not 1 <= i <= problem.n_outer:
+        raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
     ledger.outer_gradient_queries += 1
     out = problem.outer_component_gradient(i, w)
-    if not np.all(np.isfinite(out)):
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"outer gradient {i} returned a non-finite value")
     return out
 

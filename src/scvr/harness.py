@@ -85,39 +85,47 @@ _ALGO_FIELDS = {
 }
 
 
+def _field(block: dict, name: str, default, convert, where: str):
+    """``convert(block[name])`` (or of ``default``); a value that does not
+    convert is a :class:`ConfigError` naming the field."""
+    value = block.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}") from exc
+
+
 def build_problem(block: dict):
     """Instantiate the problem described by the config's problem block."""
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("problem: missing field 'kind'")
     kind = block["kind"]
+
+    def num(name, default, convert=int):
+        return _field(block, name, default, convert, "problem")
+
     if kind == "affine_quadratic":
         return problems.make_affine_quadratic(
-            n=int(block.get("n", 10)),
-            m=int(block.get("m", 10)),
-            dim_x=int(block.get("dim_x", 4)),
-            dim_w=int(block.get("dim_w", 4)),
-            seed=int(block.get("seed", 0)),
+            n=num("n", 10), m=num("m", 10), dim_x=num("dim_x", 4), dim_w=num("dim_w", 4),
+            seed=num("seed", 0),
         )
     if kind == "nonconvex_synthetic":
         return problems.make_nonconvex_synthetic(
-            n=int(block.get("n", 100)),
-            m=int(block.get("m", 100)),
-            dim_x=int(block.get("dim_x", 8)),
-            dim_w=int(block.get("dim_w", 8)),
-            seed=int(block.get("seed", 0)),
+            n=num("n", 100), m=num("m", 100), dim_x=num("dim_x", 8), dim_w=num("dim_w", 8),
+            seed=num("seed", 0),
         )
     if kind == "sne":
         path = block.get("data")
         if not path:
             raise ConfigError("problem: sne needs field 'data'")
+        target = num("pca_dim", 30)
+        sigma = num("sigma", 1.0, float)
+        embed_dim = num("embed_dim", 2)
         data = problems.load_matrix(path)
         data = problems.normalize(data)
-        target = int(block.get("pca_dim", 30))
         k = min(target, data.rows - 1, data.cols)
         data = problems.pca_reduce(data, k)
-        return problems.build_sne(
-            data, float(block.get("sigma", 1.0)), int(block.get("embed_dim", 2))
-        )
+        return problems.build_sne(data, sigma, embed_dim)
     if kind == "sne_json":
         path = block.get("path")
         if not path:
@@ -135,20 +143,25 @@ def _algo_config(entry: dict, default_seed: int, default_record: int) -> Optimiz
         raise ConfigError("algorithms: missing field 'variant'")
     if "eta" not in entry:
         raise ConfigError(f"algorithms[{entry['variant']}]: missing field 'eta'")
+    variant = str(entry["variant"])
+
+    def num(name, default, convert=int):
+        return _field(entry, name, default, convert, f"algorithms[{variant}]")
+
+    fields = dict(
+        eta=num("eta", None, float),
+        epochs_s=num("epochs_s", 1),
+        inner_k=num("inner_k", 1),
+        sample_a=num("sample_a", 1),
+        sample_b=num("sample_b", 1),
+        batch_b=num("batch_b", 1),
+        seed=num("seed", default_seed),
+        record_every=num("record_every", default_record),
+    )
     try:
-        return OptimizerConfig(
-            eta=float(entry["eta"]),
-            epochs_s=int(entry.get("epochs_s", 1)),
-            inner_k=int(entry.get("inner_k", 1)),
-            variant=str(entry["variant"]),
-            sample_a=int(entry.get("sample_a", 1)),
-            sample_b=int(entry.get("sample_b", 1)),
-            batch_b=int(entry.get("batch_b", 1)),
-            seed=int(entry.get("seed", default_seed)),
-            record_every=int(entry.get("record_every", default_record)),
-        )
+        return OptimizerConfig(variant=variant, **fields)
     except ValueError as exc:
-        raise ConfigError(f"algorithms: {exc}") from exc
+        raise ConfigError(f"algorithms[{variant}]: {exc}") from exc
 
 
 def _min_startup_cost(variant: str, m: int, n: int) -> int:
@@ -176,8 +189,9 @@ def prepare_experiment(cfg: dict):
         if required not in cfg:
             raise ConfigError(f"missing field '{required}'")
     problem = build_problem(cfg["problem"])
-    seed = int(cfg.get("seed", 0))
-    record_every = int(cfg.get("record_every", 1))
+    seed = _field(cfg, "seed", 0, int, "config")
+    record_every = _field(cfg, "record_every", 1, int, "config")
+    init_scale = _field(cfg, "init_scale", 0.1, float, "config")
     algos = cfg["algorithms"]
     if not isinstance(algos, list) or not algos:
         raise ConfigError("algorithms: need at least one entry")
@@ -190,7 +204,7 @@ def prepare_experiment(cfg: dict):
         )
     budget = cfg.get("budget")
     if budget is not None:
-        budget = int(budget)
+        budget = _field(cfg, "budget", None, int, "config")
         for oc in configs:
             need = _min_startup_cost(oc.variant, problem.m_inner, problem.n_outer)
             if budget <= need:
@@ -202,7 +216,7 @@ def prepare_experiment(cfg: dict):
         "seed": seed,
         "budget": budget,
         "output": cfg.get("output", "trace.csv"),
-        "init_scale": float(cfg.get("init_scale", 0.1)),
+        "init_scale": init_scale,
     }
     return problem, configs, meta
 
@@ -539,6 +553,8 @@ def cmd_embed(args) -> int:
         result = optimizers.run(problem, cfg, x0=x0, budget=args.budget)
     except DivergenceError as exc:
         _fail(EXIT_DIVERGED, "E_DIVERGED", f"embedding run diverged: {exc}")
+    except EvaluationError as exc:
+        _fail(EXIT_DIVERGED, "E_DIVERGED", f"component evaluation blew up: {exc}")
     coords = result.x_last.reshape(n, args.dim)
     out = _out_path(args.output)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -559,7 +575,8 @@ def cmd_embed(args) -> int:
 
 def sweep_experiment(problem, configs, meta, etas: list[float]):
     """Run each algorithm once per step size; pick the step with the best
-    final gradient norm.  Diverged steps are reported, not fatal."""
+    final gradient norm.  Diverged steps, including those where a
+    component evaluation turned non-finite, are reported, not fatal."""
     x0 = initial_point(problem, meta["seed"], meta["init_scale"])
     outcome: dict = {}
     best_sections = []
@@ -574,7 +591,7 @@ def sweep_experiment(problem, configs, meta, etas: list[float]):
                 per_eta.append({"eta": eta, "final_grad_norm_sq": final, "diverged": False})
                 if best is None or final < best[1]:
                     best = (eta, final, result)
-            except DivergenceError:
+            except (DivergenceError, EvaluationError):
                 per_eta.append({"eta": eta, "final_grad_norm_sq": None, "diverged": True})
         if best is None:
             raise CliFailure(
@@ -596,6 +613,8 @@ def cmd_sweep(args) -> int:
         _fail(EXIT_CONFIG, "E_CONFIG", f"cannot parse eta grid {args.etas!r}")
     if not etas:
         _fail(EXIT_CONFIG, "E_CONFIG", "eta grid is empty")
+    if not all(math.isfinite(eta) and eta >= 0.0 for eta in etas):
+        _fail(EXIT_CONFIG, "E_CONFIG", f"eta grid {args.etas!r} needs finite non-negative steps")
     try:
         problem, configs, meta = prepare_experiment(cfg)
     except (ConfigError, problems.ProblemConstructionError) as exc:

@@ -21,6 +21,7 @@ storing the whole trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError("eta must be finite and non-negative")
         for name in ("epochs_s", "inner_k", "sample_a", "sample_b", "batch_b", "record_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

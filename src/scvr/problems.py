@@ -61,6 +61,8 @@ class AffineQuadraticProblem(CompositionProblem):
         self.mats = mats
         self.offs = offs
         self.targets = targets
+        # per-component row views, indexed from a list on the query path
+        self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
         b_g = max(power_iteration_norm(a) for a in mats)
@@ -72,17 +74,17 @@ class AffineQuadraticProblem(CompositionProblem):
         )
 
     def inner_component(self, j, x):
-        return self.mats[j - 1] @ x + self.offs[j - 1]
+        return self._mats[j - 1] @ x + self._offs[j - 1]
 
     def inner_component_jacobian(self, j, x):
-        return self.mats[j - 1].copy()
+        return self._mats[j - 1].copy()
 
     def outer_component(self, i, w):
-        r = w - self.targets[i - 1]
+        r = w - self._targets[i - 1]
         return 0.5 * float(r @ r)
 
     def outer_component_gradient(self, i, w):
-        return w - self.targets[i - 1]
+        return w - self._targets[i - 1]
 
     # closed-form oracles ---------------------------------------------------
 
@@ -143,8 +145,14 @@ def _rho(t: np.ndarray) -> np.ndarray:
 
 
 def _rho_prime(t: np.ndarray) -> np.ndarray:
-    d = 1.0 + t * t
-    return 2.0 * t / (d * d)
+    """2t / (1 + t^2)^2 with in-place temporaries; bitwise equal to that
+    expression because IEEE addition and multiplication commute."""
+    d = t * t
+    d += 1.0
+    d *= d
+    t = 2.0 * t
+    t /= d
+    return t
 
 
 class NonconvexSyntheticProblem(CompositionProblem):
@@ -170,6 +178,8 @@ class NonconvexSyntheticProblem(CompositionProblem):
         self.mats = mats
         self.offs = offs
         self.targets = targets
+        # per-component row views, indexed from a list on the query path
+        self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
         b_g = max(power_iteration_norm(a) for a in mats)
@@ -184,16 +194,16 @@ class NonconvexSyntheticProblem(CompositionProblem):
         )
 
     def inner_component(self, j, x):
-        return self.mats[j - 1] @ x + self.offs[j - 1]
+        return self._mats[j - 1] @ x + self._offs[j - 1]
 
     def inner_component_jacobian(self, j, x):
-        return self.mats[j - 1].copy()
+        return self._mats[j - 1].copy()
 
     def outer_component(self, i, w):
-        return float(_rho(w - self.targets[i - 1]).sum())
+        return float(_rho(w - self._targets[i - 1]).sum())
 
     def outer_component_gradient(self, i, w):
-        return _rho_prime(w - self.targets[i - 1])
+        return _rho_prime(w - self._targets[i - 1])
 
 
 def make_nonconvex_synthetic(

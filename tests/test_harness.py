@@ -256,3 +256,99 @@ def test_sweep_reports_best_eta(tmp_path, capsys):
 def test_sweep_bad_grid_is_config_error(tmp_path, capsys):
     path, _ = _write_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--etas", "abc"]) == EXIT_CONFIG
+
+
+# -- error contract ------------------------------------------------------------------
+
+
+def _sne_config(tmp_path, **problem_fields):
+    data, _ = problems.make_cluster_data(8, clusters=2, dim=5, seed=3)
+    data_path = tmp_path / "pts.csv"
+    problems.save_matrix(data, data_path)
+    block = {"kind": "sne", "data": str(data_path), "sigma": 1.0, "embed_dim": 2,
+             "pca_dim": 4, **problem_fields}
+    return _write_config(
+        tmp_path, problem=block, budget=None,
+        algorithms=[{"variant": "scvr2", "eta": 0.005, "epochs_s": 1, "inner_k": 2}],
+    )
+
+
+PROBLEM_FIELDS = [("n", "x"), ("m", "x"), ("dim_x", [3]), ("dim_w", None), ("seed", "abc")]
+SNE_FIELDS = [("pca_dim", "x"), ("sigma", "wide"), ("embed_dim", None)]
+TOP_FIELDS = [("seed", "abc"), ("record_every", "x"), ("budget", "x"), ("init_scale", [1])]
+
+
+def _corrupt(tmp_path, where, name, value):
+    if where == "sne":
+        return _sne_config(tmp_path, **{name: value})[0]
+    path, cfg = _write_config(tmp_path)
+    if where == "problem":
+        cfg["problem"][name] = value
+    elif where == "algorithm":
+        cfg["algorithms"][0][name] = value
+    else:
+        cfg[name] = value
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "where,name,value",
+    [("problem", name, value) for name, value in PROBLEM_FIELDS]
+    + [("sne", name, value) for name, value in SNE_FIELDS]
+    + [("config", name, value) for name, value in TOP_FIELDS]
+    + [("algorithm", "eta", float("nan")), ("algorithm", "eta", float("inf")),
+       ("algorithm", "eta", None)],
+)
+def test_run_bad_config_field_is_one_config_error_line(tmp_path, capsys, where, name, value):
+    path = _corrupt(tmp_path, where, name, value)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_CONFIG:")
+    assert name in lines[0]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def _nan_outer_gradient(self, i, w):
+    return np.full(self.dim_w, np.nan)
+
+
+def test_embed_non_finite_component_is_diverged(tmp_path, capsys, monkeypatch):
+    data, _ = problems.make_cluster_data(12, clusters=2, dim=5, seed=2)
+    data_path = tmp_path / "clusters.csv"
+    problems.save_matrix(data, data_path)
+    monkeypatch.setattr(problems.SneProblem, "outer_component_gradient", _nan_outer_gradient)
+    code = main(["embed", "--data", str(data_path), "--epochs", "1", "--steps", "2",
+                 "--output", str(tmp_path / "emb.csv")])
+    assert code == harness.EXIT_DIVERGED
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_DIVERGED:")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+def test_sweep_records_evaluation_error_as_diverged(tmp_path, capsys, monkeypatch):
+    path, _ = _write_config(
+        tmp_path, algorithms=[{"variant": "scvr1", "eta": 0.01, "epochs_s": 2, "inner_k": 3}],
+    )
+    real_run = harness.optimizers.run
+
+    def run_blowing_up_at_large_eta(problem, config, x0=None, budget=None):
+        if config.eta > 1.0:
+            raise harness.EvaluationError("outer gradient 3 returned a non-finite value")
+        return real_run(problem, config, x0=x0, budget=budget)
+
+    monkeypatch.setattr(harness.optimizers, "run", run_blowing_up_at_large_eta)
+    report_path = tmp_path / "sweep.json"
+    code = main(["sweep", "--config", str(path), "--etas", "0.01,5",
+                 "--report", str(report_path)])
+    assert code == EXIT_OK
+    grid = json.loads(report_path.read_text())["scvr1"]["grid"]
+    assert [g["diverged"] for g in grid] == [False, True]
+
+
+@pytest.mark.parametrize("etas", ["0.01,nan", "inf", "0.01,-0.5"])
+def test_sweep_non_finite_or_negative_eta_is_config_error(tmp_path, capsys, etas):
+    path, _ = _write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--etas", etas]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_CONFIG:")

@@ -285,6 +285,12 @@ def test_config_rejects_nonpositive_counts():
         OptimizerConfig(eta=0.1, epochs_s=0, inner_k=1, variant="gd")
 
 
+@pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf")])
+def test_config_rejects_negative_or_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        OptimizerConfig(eta=eta, epochs_s=1, inner_k=1, variant="gd")
+
+
 @given(
     variant=st.sampled_from(["scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "svrg"]),
     s=st.integers(min_value=1, max_value=3),

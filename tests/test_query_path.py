@@ -1,0 +1,226 @@
+"""The per-query path: finiteness checks in the ``core.query_*`` helpers,
+bitwise agreement of the synthetic components with their defining
+formulas, and one helper call per charged query."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from scvr import core, optimizers, problems
+from scvr.core import EvaluationError, QueryLedger, SmoothnessConstants
+from scvr.optimizers import OptimizerConfig
+
+BAD_VALUES = (math.nan, math.inf, -math.inf)
+
+
+class FixedOutputProblem(core.CompositionProblem):
+    """Every component returns the same prepared output."""
+
+    n_outer = 4
+    m_inner = 4
+    dim_x = 3
+    dim_w = 5
+    constants = SmoothnessConstants(b_g=1.0, l_g=0.0, b_f=1.0, l_f_outer=1.0, l_f=1.0)
+
+    def __init__(self, vector, matrix, scalar=0.0):
+        self.vector, self.matrix, self.scalar = vector, matrix, scalar
+
+    def inner_component(self, j, x):
+        return self.vector
+
+    def inner_component_jacobian(self, j, x):
+        return self.matrix
+
+    def outer_component(self, i, w):
+        return self.scalar
+
+    def outer_component_gradient(self, i, w):
+        return self.vector
+
+
+QUERIES = {
+    "inner_value": (core.query_inner_value, "inner component"),
+    "inner_jacobian": (core.query_inner_jacobian, "inner Jacobian"),
+    "outer_value": (core.query_outer_value, "outer component"),
+    "outer_gradient": (core.query_outer_gradient, "outer gradient"),
+}
+
+
+def _problem_with(entry, fill=1.0):
+    """Outputs filled with ``fill`` whose last entry is ``entry``."""
+    vector = np.full(5, fill)
+    vector[-1] = entry
+    matrix = np.full((5, 3), fill)
+    matrix[-1, -1] = entry
+    return FixedOutputProblem(vector, matrix, scalar=entry)
+
+
+@pytest.mark.parametrize("kind", sorted(QUERIES))
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("fill", [1.0, 1e200])
+def test_non_finite_output_raises_naming_the_index(kind, bad, fill):
+    query, label = QUERIES[kind]
+    problem = _problem_with(bad, fill)
+    ledger = QueryLedger()
+    with pytest.raises(EvaluationError, match=rf"^{label} 3 returned a non-finite value$"):
+        query(problem, 3, np.zeros(problem.dim_x), ledger)
+    assert ledger.total == 1
+
+
+@pytest.mark.parametrize("kind", ["inner_value", "inner_jacobian", "outer_gradient"])
+def test_overflowing_squared_norm_is_not_an_error(kind):
+    query, _ = QUERIES[kind]
+    problem = _problem_with(1e200, 1e200)
+    expected = problem.matrix if kind == "inner_jacobian" else problem.vector
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(np.vdot(expected, expected))
+    ledger = QueryLedger()
+    assert query(problem, 2, np.zeros(problem.dim_x), ledger) is expected
+    assert ledger.total == 1
+
+
+def test_largest_finite_outputs_pass():
+    big = np.finfo(float).max
+    problem = _problem_with(-big, big)
+    ledger = QueryLedger()
+    core.query_inner_value(problem, 1, np.zeros(3), ledger)
+    core.query_inner_jacobian(problem, 1, np.zeros(3), ledger)
+    core.query_outer_gradient(problem, 1, np.zeros(5), ledger)
+    assert core.query_outer_value(problem, 1, np.zeros(5), ledger) == -big
+    assert ledger.total == 4
+
+
+# -- bitwise agreement with the defining formulas ---------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _reference_rho_prime(t):
+    d = 1.0 + t * t
+    return 2.0 * t / (d * d)
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 12), elements=finite))
+@settings(max_examples=200, deadline=None)
+def test_rho_prime_bitwise_equals_formula(t):
+    before = t.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = problems._rho_prime(t)
+        want = _reference_rho_prime(t)
+    assert got.tobytes() == want.tobytes()
+    assert t.tobytes() == before.tobytes()  # the argument is not modified
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_nonconvex_components_bitwise_equal_formulas(seed, shape, data):
+    n, m, dim_x, dim_w = shape
+    problem = problems.make_nonconvex_synthetic(n, m, dim_x, dim_w, seed=seed)
+    scaled = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    x = data.draw(hnp.arrays(np.float64, dim_x, elements=scaled))
+    w = data.draw(hnp.arrays(np.float64, dim_w, elements=scaled))
+    j = data.draw(st.integers(1, m))
+    i = data.draw(st.integers(1, n))
+    mats, offs, targets = problem.mats, problem.offs, problem.targets
+
+    value = problem.inner_component(j, x)
+    assert value.tobytes() == (mats[j - 1] @ x + offs[j - 1]).tobytes()
+    jac = problem.inner_component_jacobian(j, x)
+    assert jac.tobytes() == mats[j - 1].copy().tobytes()
+    jac[0, 0] += 1.0  # a returned Jacobian is a copy, not a view
+    assert problem.inner_component_jacobian(j, x).tobytes() == mats[j - 1].tobytes()
+    t = w - targets[i - 1]
+    assert problem.outer_component(i, w) == float((t * t / (1.0 + t * t)).sum())
+    grad = problem.outer_component_gradient(i, w)
+    assert grad.tobytes() == _reference_rho_prime(t).tobytes()
+
+
+def test_affine_components_equal_formulas(affine_small):
+    x = np.array([0.3, -1.7, 2.5])
+    for j in range(1, affine_small.m_inner + 1):
+        want = affine_small.mats[j - 1] @ x + affine_small.offs[j - 1]
+        assert affine_small.inner_component(j, x).tobytes() == want.tobytes()
+    w = np.array([1.0, -2.0, 0.5])
+    for i in range(1, affine_small.n_outer + 1):
+        r = w - affine_small.targets[i - 1]
+        assert affine_small.outer_component_gradient(i, w).tobytes() == r.tobytes()
+
+
+# -- one helper call per charged query --------------------------------------------
+
+
+KINDS = ("inner_value", "inner_jacobian", "outer_value", "outer_gradient")
+
+
+def _count_query_calls(monkeypatch):
+    """Wrap ``query_<kind>`` under every ``scvr.*`` module attribute that
+    refers to it; calls made inside ``optimizers._record`` (trace
+    instrumentation) are counted apart."""
+    counts = {"alg": dict.fromkeys(KINDS, 0), "instr": dict.fromkeys(KINDS, 0)}
+    depth = [0]
+
+    def replace_everywhere(fn, wrapper):
+        hits = 0
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "scvr" or name.startswith("scvr.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+                    hits += 1
+        assert hits > 0
+
+    for kind in KINDS:
+        fn = getattr(core, f"query_{kind}")
+
+        def counting(*args, _fn=fn, _kind=kind):
+            counts["instr" if depth[0] else "alg"][_kind] += 1
+            return _fn(*args)
+
+        replace_everywhere(fn, counting)
+    record = optimizers._record
+
+    def recording(*args):
+        depth[0] += 1
+        try:
+            return record(*args)
+        finally:
+            depth[0] -= 1
+
+    replace_everywhere(record, recording)
+    return counts
+
+
+@pytest.mark.parametrize("variant", optimizers.VARIANTS)
+def test_query_helper_calls_equal_ledger_by_kind(variant, monkeypatch):
+    problem = problems.make_nonconvex_synthetic(n=7, m=6, dim_x=3, dim_w=4, seed=2)
+    counts = _count_query_calls(monkeypatch)
+    cfg = OptimizerConfig(
+        eta=0.05, epochs_s=3, inner_k=4, variant=variant,
+        sample_a=3, sample_b=2, batch_b=2, seed=5, record_every=3,
+    )
+    result = optimizers.run(problem, cfg, x0=np.full(3, 0.5))
+    led = result.ledger
+    by_kind = (
+        led.inner_value_queries, led.inner_jacobian_queries,
+        led.outer_value_queries, led.outer_gradient_queries,
+    )
+    assert tuple(counts["alg"][kind] for kind in KINDS) == by_kind
+    assert led.total == optimizers.expected_total_queries(
+        variant, 3, 4, problem.m_inner, problem.n_outer, 3, 2, 2
+    )
+    # each trace record is one full gradient plus one objective
+    m, n, records = problem.m_inner, problem.n_outer, len(result.trace)
+    assert counts["instr"] == {
+        "inner_value": 2 * m * records, "inner_jacobian": m * records,
+        "outer_value": n * records, "outer_gradient": n * records,
+    }
