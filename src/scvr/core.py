@@ -16,7 +16,11 @@ concrete problem classes and nowhere else.
 
 Query path contract: every charged query is exactly one call of a
 module-level ``query_*`` helper, which checks the index, charges the
-ledger by 1 and evaluates one component.  Each helper checks its output
+ledger by 1 and evaluates one component.  ``query_inner_jacobian``
+takes an optional vector ``v``: with it, the one call and the one
+charge return the product dG_j(x)^T v (the only way the stochastic
+steps use a Jacobian) instead of the dense (M, N) matrix, and the
+finiteness check runs on that product.  Each helper checks its output
 for finiteness per query.  For arrays the first test is the squared
 norm ``vdot(out, out)``: any NaN or infinite entry makes it non-finite.
 Only when it is non-finite does the exact elementwise test run, so
@@ -121,6 +125,12 @@ class CompositionProblem(abc.ABC):
     Component evaluations must be pure: identical inputs produce
     bitwise-identical outputs.  They are therefore safe to call
     concurrently; only the ledger needs per-worker separation.
+
+    ``inner_component_vjp(j, x, v)`` is the Jacobian access the
+    stochastic steps use: the product dG_j(x)^T v.  It is pure in the
+    same sense and must not modify ``v``.  The default multiplies the
+    dense Jacobian; a problem whose Jacobian has structure overrides it
+    so that no (M, N) array is built.
     """
 
     n_outer: int
@@ -136,6 +146,11 @@ class CompositionProblem(abc.ABC):
     @abc.abstractmethod
     def inner_component_jacobian(self, j: int, x: np.ndarray) -> np.ndarray:
         """dG_j(x), j in 1..m_inner; returns an (M, N) matrix."""
+
+    def inner_component_vjp(self, j: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dG_j(x)^T v, j in 1..m_inner, for a length-M vector v; returns a
+        length-N vector.  Leaves ``v`` unchanged."""
+        return self.inner_component_jacobian(j, x).T @ v
 
     @abc.abstractmethod
     def outer_component(self, i: int, w: np.ndarray) -> float:
@@ -160,13 +175,21 @@ def query_inner_value(
 
 
 def query_inner_jacobian(
-    problem: CompositionProblem, j: int, x: np.ndarray, ledger: QueryLedger
+    problem: CompositionProblem,
+    j: int,
+    x: np.ndarray,
+    ledger: QueryLedger,
+    v: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate dG_j(x), charging one inner-Jacobian query."""
+    """Evaluate dG_j(x), or dG_j(x)^T v when ``v`` is given, charging one
+    inner-Jacobian query either way."""
     if not 1 <= j <= problem.m_inner:
         raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_jacobian_queries += 1
-    out = problem.inner_component_jacobian(j, x)
+    if v is None:
+        out = problem.inner_component_jacobian(j, x)
+    else:
+        out = problem.inner_component_vjp(j, x, v)
     if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"inner Jacobian {j} returned a non-finite value")
     return out

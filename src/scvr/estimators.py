@@ -9,6 +9,13 @@ so that at the snapshot point the corrections cancel exactly and the
 estimator returns the cached full gradient bit for bit.  Batches are
 index multisets (1-based, with replacement) materialized by the caller,
 which lets tests replay a draw through the exhaustive oracles.
+
+The gradient estimators used by the optimizer steps (``grad_scvr1``,
+``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``) take each sampled
+Jacobian as one product dG_j(.)^T u, so no dense Jacobian is formed
+per step.  ``estimate_inner_jacobian``, ``grad_scvr2`` and
+``grad_minibatch_v1`` keep the dense form; they are the reference the
+verification suite compares against.
 """
 
 from __future__ import annotations
@@ -122,15 +129,16 @@ def grad_scvr1(
         (dG_j(x))^T grad F_i(g_hat)
           - (dG_j(x_tilde))^T grad F_i(G(x_tilde))  +  grad_tilde
 
-    Costs 4 queries (two Jacobians, two outer gradients).  Its mean over
-    (i, j) with g_hat held fixed is (dG(x))^T grad F(g_hat), which is
-    *not* the full gradient at x: the inner estimate makes it biased.
+    Costs 4 queries (two Jacobian products, two outer gradients).  Its
+    mean over (i, j) with g_hat held fixed is (dG(x))^T grad F(g_hat),
+    which is *not* the full gradient at x: the inner estimate makes it
+    biased.
     """
-    jac_x = query_inner_jacobian(problem, j, x, ledger)
     outer_x = query_outer_gradient(problem, i, g_hat, ledger)
-    jac_t = query_inner_jacobian(problem, j, snap.x_tilde, ledger)
     outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-    direction = jac_x.T @ outer_x - jac_t.T @ outer_t + snap.grad_tilde
+    fresh = query_inner_jacobian(problem, j, x, ledger, outer_x)
+    anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger, outer_t)
+    direction = fresh - anchor + snap.grad_tilde
     return GradientEstimate(direction=direction, queries_charged=4)
 
 
@@ -183,6 +191,75 @@ def grad_minibatch_v1(
     return GradientEstimate(direction=direction, queries_charged=2 * len(outer_batch))
 
 
+def _mean_outer_gradients(
+    problem: CompositionProblem,
+    snap: EpochSnapshot,
+    g_hat: np.ndarray,
+    outer_batch: Sequence[int],
+    ledger: QueryLedger,
+) -> tuple[np.ndarray, np.ndarray]:
+    """u_x, u_t = (1/b) sum_{i in batch} grad F_i at g_hat and at
+    G(x_tilde).  Costs 2b queries."""
+    _require_batch(outer_batch)
+    u_x = np.zeros_like(snap.g_tilde)
+    u_t = np.zeros_like(snap.g_tilde)
+    for i in outer_batch:
+        u_x += query_outer_gradient(problem, i, g_hat, ledger)
+        u_t += query_outer_gradient(problem, i, snap.g_tilde, ledger)
+    return u_x / len(outer_batch), u_t / len(outer_batch)
+
+
+def _mean_product_difference(
+    problem: CompositionProblem,
+    x: np.ndarray,
+    snap: EpochSnapshot,
+    jac_batch: Sequence[int],
+    u_fresh: np.ndarray,
+    u_anchor: np.ndarray,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """(1/B) sum_{j in batch} [ dG_j(x)^T u_fresh - dG_j(x_tilde)^T u_anchor ].
+    Costs 2B queries."""
+    acc = np.zeros_like(snap.grad_tilde)
+    for j in jac_batch:
+        fresh = query_inner_jacobian(problem, j, x, ledger, u_fresh)
+        anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger, u_anchor)
+        acc += fresh - anchor
+    return acc / len(jac_batch)
+
+
+def grad_minibatch_v1_vjp(
+    problem: CompositionProblem,
+    x: np.ndarray,
+    snap: EpochSnapshot,
+    g_hat: np.ndarray,
+    jac_batch: Sequence[int],
+    outer_batch: Sequence[int],
+    ledger: QueryLedger,
+) -> GradientEstimate:
+    """:func:`grad_minibatch_v1` with the Jacobian estimate of
+    :func:`estimate_inner_jacobian` over ``jac_batch`` taken as products.
+
+    With u_x, u_t the outer-batch mean gradients at g_hat and G(x_tilde),
+
+        (dG(x_tilde))^T (u_x - u_t)
+          + (1/B) sum_{j in jac_batch} (dG_j(x) - dG_j(x_tilde))^T u_x
+          + grad_tilde
+
+    equals (jac_hat)^T u_x - (dG(x_tilde))^T u_t + grad_tilde.  Costs
+    2B + 2b queries, as the dense pair does; at x = x_tilde it returns
+    grad_tilde bit for bit.  A singleton outer batch gives scvr2's step.
+    """
+    _require_batch(jac_batch)
+    u_x, u_t = _mean_outer_gradients(problem, snap, g_hat, outer_batch, ledger)
+    correction = _mean_product_difference(problem, x, snap, jac_batch, u_x, u_x, ledger)
+    direction = snap.jac_tilde.T @ (u_x - u_t) + correction + snap.grad_tilde
+    return GradientEstimate(
+        direction=direction,
+        queries_charged=2 * len(jac_batch) + 2 * len(outer_batch),
+    )
+
+
 def grad_minibatch_v2(
     problem: CompositionProblem,
     x: np.ndarray,
@@ -196,29 +273,21 @@ def grad_minibatch_v2(
 
     The same Jacobian batch is averaged at x and at the snapshot,
 
-        J_x = (1/B) sum_{j in jac_batch} dG_j(x)        (B queries)
-        J_t = (1/B) sum_{j in jac_batch} dG_j(x_tilde)  (B queries)
+        J_x = (1/B) sum_{j in jac_batch} dG_j(x)
+        J_t = (1/B) sum_{j in jac_batch} dG_j(x_tilde)
 
         (1/b) sum_{i in batch} [ J_x^T grad F_i(g_hat)
-            - J_t^T grad F_i(G(x_tilde)) ]  +  grad_tilde    (2b queries)
+            - J_t^T grad F_i(G(x_tilde)) ]  +  grad_tilde
 
-    Costs 2B + 2b queries total.
+    computed as (1/B) sum_j [ dG_j(x)^T u_x - dG_j(x_tilde)^T u_t ]
+    + grad_tilde with u_x, u_t the outer-batch mean gradients (2b
+    queries) and one Jacobian product per draw (2B queries).  Costs
+    2B + 2b queries total.
     """
     _require_batch(jac_batch)
-    _require_batch(outer_batch)
-    jac_x = np.zeros_like(snap.jac_tilde)
-    jac_t = np.zeros_like(snap.jac_tilde)
-    for j in jac_batch:
-        jac_x += query_inner_jacobian(problem, j, x, ledger)
-        jac_t += query_inner_jacobian(problem, j, snap.x_tilde, ledger)
-    jac_x /= len(jac_batch)
-    jac_t /= len(jac_batch)
-    acc = np.zeros_like(snap.grad_tilde)
-    for i in outer_batch:
-        outer_x = query_outer_gradient(problem, i, g_hat, ledger)
-        outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-        acc += jac_x.T @ outer_x - jac_t.T @ outer_t
-    direction = acc / len(outer_batch) + snap.grad_tilde
+    u_x, u_t = _mean_outer_gradients(problem, snap, g_hat, outer_batch, ledger)
+    correction = _mean_product_difference(problem, x, snap, jac_batch, u_x, u_t, ledger)
+    direction = correction + snap.grad_tilde
     return GradientEstimate(
         direction=direction,
         queries_charged=2 * len(jac_batch) + 2 * len(outer_batch),

@@ -104,23 +104,29 @@ def build_problem(block: dict):
     def num(name, default, convert=int):
         return _field(block, name, default, convert, "problem")
 
+    def size(name, default):
+        value = num(name, default)
+        if value < 1:
+            raise ConfigError(f"problem: field {name!r} must be at least 1, got {value!r}")
+        return value
+
     if kind == "affine_quadratic":
         return problems.make_affine_quadratic(
-            n=num("n", 10), m=num("m", 10), dim_x=num("dim_x", 4), dim_w=num("dim_w", 4),
+            n=size("n", 10), m=size("m", 10), dim_x=size("dim_x", 4), dim_w=size("dim_w", 4),
             seed=num("seed", 0),
         )
     if kind == "nonconvex_synthetic":
         return problems.make_nonconvex_synthetic(
-            n=num("n", 100), m=num("m", 100), dim_x=num("dim_x", 8), dim_w=num("dim_w", 8),
-            seed=num("seed", 0),
+            n=size("n", 100), m=size("m", 100), dim_x=size("dim_x", 8),
+            dim_w=size("dim_w", 8), seed=num("seed", 0),
         )
     if kind == "sne":
         path = block.get("data")
         if not path:
             raise ConfigError("problem: sne needs field 'data'")
-        target = num("pca_dim", 30)
+        target = size("pca_dim", 30)
         sigma = num("sigma", 1.0, float)
-        embed_dim = num("embed_dim", 2)
+        embed_dim = size("embed_dim", 2)
         data = problems.load_matrix(path)
         data = problems.normalize(data)
         k = min(target, data.rows - 1, data.cols)
@@ -136,6 +142,8 @@ def build_problem(block: dict):
 
 
 def _algo_config(entry: dict, default_seed: int, default_record: int) -> OptimizerConfig:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"algorithms: each entry must be an object, got {entry!r}")
     unknown = set(entry) - _ALGO_FIELDS
     if unknown:
         raise ConfigError(f"algorithms: unknown field(s) {sorted(unknown)}")
@@ -380,6 +388,7 @@ def _check_snapshot_identities() -> tuple[bool, str]:
             estimators.grad_scvr2(problem, snap, g_hat, jac_hat, i, ledger),
             estimators.grad_minibatch_v1(problem, snap, g_hat, jac_hat, [i], ledger),
             estimators.grad_minibatch_v2(problem, x, snap, g_hat, batch, [i], ledger),
+            estimators.grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch, [i], ledger),
         ):
             worst = max(worst, float(np.abs(est.direction - snap.grad_tilde).max()))
     return worst <= 1e-12, f"max snapshot deviation {worst:.2e}"

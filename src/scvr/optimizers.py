@@ -17,6 +17,10 @@ ledger and never touches the algorithmic count.  The returned iterate
 x_out is the one visited at epoch/step indices drawn uniformly before
 the run, matching a uniformly sampled output in distribution without
 storing the whole trajectory.
+
+The stochastic steps (scvr1, scvr2, the mini-batch variants and sgd)
+query each sampled Jacobian as one product dG_j(x)^T v; dense
+Jacobians are formed only by the snapshot, svrg and gd.
 """
 
 from __future__ import annotations
@@ -218,17 +222,19 @@ def run(
                 batch_a = sample_indices(stream, m, config.sample_a)
                 batch_b = sample_indices(stream, m, config.sample_b)
                 g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
-                jac_hat = estimators.estimate_inner_jacobian(problem, x, snap, batch_b, ledger)
                 i = stream.randrange(n) + 1
-                est = estimators.grad_scvr2(problem, snap, g_hat, jac_hat, i, ledger)
+                est = estimators.grad_minibatch_v1_vjp(
+                    problem, x, snap, g_hat, batch_b, [i], ledger
+                )
                 direction = est.direction
             elif variant == "minibatch_v1":
                 batch_a = sample_indices(stream, m, config.sample_a)
                 batch_b = sample_indices(stream, m, config.sample_b)
                 g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
-                jac_hat = estimators.estimate_inner_jacobian(problem, x, snap, batch_b, ledger)
                 outer = sample_indices(stream, n, config.batch_b)
-                est = estimators.grad_minibatch_v1(problem, snap, g_hat, jac_hat, outer, ledger)
+                est = estimators.grad_minibatch_v1_vjp(
+                    problem, x, snap, g_hat, batch_b, outer, ledger
+                )
                 direction = est.direction
             elif variant == "minibatch_v2":
                 batch_a = sample_indices(stream, m, config.sample_a)
@@ -250,9 +256,8 @@ def run(
                 value = inner_full(problem, x, ledger)
                 i = stream.randrange(n) + 1
                 j = stream.randrange(m) + 1
-                jac_j = query_inner_jacobian(problem, j, x, ledger)
                 outer_i = query_outer_gradient(problem, i, value, ledger)
-                direction = jac_j.T @ outer_i
+                direction = query_inner_jacobian(problem, j, x, ledger, outer_i)
             else:  # gd
                 direction = full_gradient(problem, x, ledger)
 

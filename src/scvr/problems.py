@@ -353,11 +353,18 @@ class SneProblem(CompositionProblem):
         return np.asarray(x)[: self.dim_x].reshape(self.n_points, self.embed_dim)
 
     def inner_component(self, j, x):
+        out = np.empty(self.dim_w)
+        out[: self.dim_x] = x
         pts = self._points(x)
-        diff = pts - pts[j - 1]
-        kern = np.exp(-(diff * diff).sum(axis=1))
-        tail = self.n_points * kern - 1.0
-        return np.concatenate([np.asarray(x, dtype=float), tail])
+        sq = pts - pts[j - 1]
+        sq *= sq
+        tail = out[self.dim_x :]
+        np.add.reduce(sq, axis=1, out=tail)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        tail *= self.n_points
+        tail -= 1.0
+        return out
 
     def inner_component_jacobian(self, j, x):
         n = self.n_points
@@ -372,10 +379,29 @@ class SneProblem(CompositionProblem):
         jac[rows, self._block_cols[j - 1][None, :]] = -grad
         return jac
 
+    def inner_component_vjp(self, j, x, v):
+        """dG_j(x)^T v in O(N) without forming the Jacobian: the identity
+        top block passes v's first N entries through, and tail row t adds
+        v_{N+t} times its two nonzero blocks, g_t at point t and -g_t at
+        point j (g_t = -2n k_t (x_t - x_j), zero for t = j)."""
+        d = self.embed_dim
+        v = np.asarray(v)
+        pts = self._points(x)
+        diff = pts - pts[j - 1]
+        coef = np.exp(-np.add.reduce(diff * diff, axis=1))
+        coef *= v[self.dim_x :]
+        coef *= -2.0 * self.n_points
+        diff *= coef[:, None]  # row j - 1 of diff is zero
+        out = diff.ravel() + v[: self.dim_x]
+        out[(j - 1) * d : j * d] -= np.add.reduce(diff, axis=0)
+        return out
+
     def _clamped_normalizers(self, w: np.ndarray) -> np.ndarray:
         s = np.asarray(w)[self.dim_x :]
-        low = s < self.LOG_FLOOR
-        if np.any(low):
+        # fmin skips NaN, so this one-pass test fires exactly when some
+        # entry is below the floor
+        if np.fmin.reduce(s) < self.LOG_FLOOR:
+            low = s < self.LOG_FLOOR
             self.clamp_events += int(low.sum())
             return np.maximum(s, self.LOG_FLOOR)
         return s
@@ -393,11 +419,13 @@ class SneProblem(CompositionProblem):
         pts = np.asarray(w)[: self.dim_x].reshape(n, d)
         s = self._clamped_normalizers(w)
         weights = self.p_matrix[:, i - 1]
-        diff = pts - pts[i - 1]
-        gblocks = (2.0 * n) * weights[:, None] * diff
-        gblocks[i - 1] -= gblocks.sum(axis=0)
-        gtail = n * weights / s
-        return np.concatenate([gblocks.ravel(), gtail])
+        out = np.empty(self.dim_w)
+        gblocks = out[: self.dim_x].reshape(n, d)
+        np.subtract(pts, pts[i - 1], out=gblocks)
+        gblocks *= ((2.0 * n) * weights)[:, None]
+        gblocks[i - 1] -= np.add.reduce(gblocks, axis=0)
+        np.divide(n * weights, s, out=out[self.dim_x :])
+        return out
 
     def _estimate_constants(self, samples: int = 6, seed: int = 2024) -> SmoothnessConstants:
         """Sampled estimates of the regularity constants (suggestion only)."""

@@ -284,8 +284,12 @@ def _corrupt(tmp_path, where, name, value):
     path, cfg = _write_config(tmp_path)
     if where == "problem":
         cfg["problem"][name] = value
+    elif where == "affine":
+        cfg["problem"] = {"kind": "affine_quadratic", name: value}
     elif where == "algorithm":
         cfg["algorithms"][0][name] = value
+    elif where == "entry":
+        cfg[name][0] = value
     else:
         cfg[name] = value
     path.write_text(json.dumps(cfg))
@@ -298,7 +302,13 @@ def _corrupt(tmp_path, where, name, value):
     + [("sne", name, value) for name, value in SNE_FIELDS]
     + [("config", name, value) for name, value in TOP_FIELDS]
     + [("algorithm", "eta", float("nan")), ("algorithm", "eta", float("inf")),
-       ("algorithm", "eta", None)],
+       ("algorithm", "eta", None)]
+    # sizes below 1
+    + [(where, name, value) for where in ("problem", "affine")
+       for name in ("n", "m", "dim_x", "dim_w") for value in (0, -1)]
+    + [("sne", name, value) for name in ("pca_dim", "embed_dim") for value in (0, -1)]
+    # algorithm entries that are not objects
+    + [("entry", "algorithms", value) for value in (7, "scvr1", None, [])],
 )
 def test_run_bad_config_field_is_one_config_error_line(tmp_path, capsys, where, name, value):
     path = _corrupt(tmp_path, where, name, value)

@@ -1,0 +1,208 @@
+"""Jacobian queries taken as products dG_j(x)^T v: every problem's
+``inner_component_vjp`` against its dense Jacobian, the one-call,
+one-charge contract of ``query_inner_jacobian`` with ``v``, and the
+product-form gradient estimator against the dense reference pair."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from scvr import core, problems
+from scvr.core import EvaluationError, QueryLedger, SmoothnessConstants
+from scvr.estimators import (
+    estimate_inner,
+    estimate_inner_jacobian,
+    grad_minibatch_v1,
+    grad_minibatch_v1_vjp,
+    grad_scvr2,
+    take_snapshot,
+)
+
+
+def _random_sne(n, embed_dim, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.05, 1.0, size=(n, n))
+    np.fill_diagonal(p, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    return problems.SneProblem(p, embed_dim, sigma=1.0)
+
+
+# One small builder per concrete problem class in ``problems``.
+BUILDERS = {
+    problems.AffineQuadraticProblem: lambda seed: problems.make_affine_quadratic(
+        n=3, m=4, dim_x=3, dim_w=5, seed=seed
+    ),
+    problems.NonconvexSyntheticProblem: lambda seed: problems.make_nonconvex_synthetic(
+        n=3, m=4, dim_x=5, dim_w=3, seed=seed
+    ),
+    problems.CurvedInnerProblem: lambda seed: problems.make_curved_inner(
+        dim_x=4, dim_w=3, n=3, seed=seed
+    ),
+    problems.SneProblem: lambda seed: _random_sne(5, 2, seed),
+}
+
+
+def test_every_problem_class_has_a_builder():
+    classes = {
+        cls for _, cls in inspect.getmembers(problems, inspect.isclass)
+        if issubclass(cls, core.CompositionProblem) and not inspect.isabstract(cls)
+    }
+    assert classes == set(BUILDERS)
+
+
+def _product_bound(jac, v):
+    """|J|^T |v|: the scale of each entry of J^T v, against which a
+    reordered sum is accurate to a few ulps."""
+    return np.abs(jac).T @ np.abs(v)
+
+
+@given(
+    cls=st.sampled_from(sorted(BUILDERS, key=lambda c: c.__name__)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_vjp_matches_dense_jacobian_product(cls, seed, scale, data):
+    problem = BUILDERS[cls](seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=problem.dim_x) * scale
+    v = data.draw(hnp.arrays(np.float64, problem.dim_w, elements=st.floats(-1e3, 1e3)))
+    j = data.draw(st.integers(1, problem.m_inner))
+    before = v.copy()
+    got = problem.inner_component_vjp(j, x, v)
+    jac = problem.inner_component_jacobian(j, x)
+    want = jac.T @ v
+    assert got.shape == (problem.dim_x,)
+    assert np.all(np.abs(got - want) <= 1e-12 * _product_bound(jac, v))
+    assert v.tobytes() == before.tobytes()  # the vector is not modified
+    assert problem.inner_component_vjp(j, x, v).tobytes() == got.tobytes()  # pure
+
+
+# -- query_inner_jacobian with a vector -------------------------------------------
+
+
+class ProductOnlyProblem(core.CompositionProblem):
+    """Returns a prepared product; forming a dense Jacobian fails."""
+
+    n_outer = 3
+    m_inner = 3
+    dim_x = 2
+    dim_w = 4
+    constants = SmoothnessConstants(b_g=1.0, l_g=0.0, b_f=1.0, l_f_outer=1.0, l_f=1.0)
+
+    def __init__(self, product):
+        self.product = product
+
+    def inner_component(self, j, x):
+        return np.zeros(self.dim_w)
+
+    def inner_component_jacobian(self, j, x):
+        raise AssertionError("dense Jacobian formed on the product path")
+
+    def inner_component_vjp(self, j, x, v):
+        return self.product
+
+    def outer_component(self, i, w):
+        return 0.0
+
+    def outer_component_gradient(self, i, w):
+        return np.zeros(self.dim_w)
+
+
+def test_query_with_vector_returns_the_product_for_one_charge():
+    product = np.array([1.5, -2.0])
+    ledger = QueryLedger()
+    out = core.query_inner_jacobian(ProductOnlyProblem(product), 2, np.zeros(2), ledger,
+                                    np.ones(4))
+    assert out is product
+    assert ledger == QueryLedger(inner_jacobian_queries=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fill", [1.0, 1e200])
+def test_query_with_vector_rejects_non_finite_product(bad, fill):
+    product = np.array([fill, bad])
+    ledger = QueryLedger()
+    with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
+        core.query_inner_jacobian(ProductOnlyProblem(product), 3, np.zeros(2), ledger,
+                                  np.ones(4))
+    assert ledger.total == 1
+
+
+def test_query_with_vector_checks_the_index():
+    ledger = QueryLedger()
+    with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
+        core.query_inner_jacobian(ProductOnlyProblem(np.zeros(2)), 4, np.zeros(2), ledger,
+                                  np.ones(4))
+    assert ledger.total == 0
+
+
+# -- the product-form gradient estimator ------------------------------------------
+
+
+ESTIMATOR_PROBLEMS = {
+    "nonconvex": lambda: problems.make_nonconvex_synthetic(n=5, m=4, dim_x=3, dim_w=4, seed=2),
+    "curved": lambda: problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=5),
+    "sne": lambda: _random_sne(5, 2, 8),
+}
+
+
+def _draw_step(problem, seed, data):
+    rng = np.random.default_rng(seed)
+    x_tilde = rng.normal(size=problem.dim_x) * 0.5
+    x = x_tilde + rng.normal(size=problem.dim_x) * 0.3
+    snap = take_snapshot(problem, x_tilde, QueryLedger())
+    jac_index = st.integers(1, problem.m_inner)
+    batch_a = data.draw(st.lists(jac_index, min_size=1, max_size=4))
+    batch_b = data.draw(st.lists(jac_index, min_size=1, max_size=4))
+    outer = data.draw(st.lists(st.integers(1, problem.n_outer), min_size=1, max_size=4))
+    return x, snap, batch_a, batch_b, outer
+
+
+def _scale(problem, snap, g_hat, jac_hat, outer):
+    """Entrywise magnitude of the dense estimator's three terms."""
+    u_x = sum(problem.outer_component_gradient(i, g_hat) for i in outer) / len(outer)
+    u_t = sum(problem.outer_component_gradient(i, snap.g_tilde) for i in outer) / len(outer)
+    return (
+        _product_bound(jac_hat, u_x) + _product_bound(snap.jac_tilde, u_t)
+        + np.abs(snap.grad_tilde)
+    )
+
+
+@given(name=st.sampled_from(sorted(ESTIMATOR_PROBLEMS)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vjp_estimator_matches_dense_pair(name, seed, data):
+    problem = ESTIMATOR_PROBLEMS[name]()
+    x, snap, batch_a, batch_b, outer = _draw_step(problem, seed, data)
+    g_hat = estimate_inner(problem, x, snap, batch_a, QueryLedger())
+
+    dense_ledger = QueryLedger()
+    jac_hat = estimate_inner_jacobian(problem, x, snap, batch_b, dense_ledger)
+    dense = grad_minibatch_v1(problem, snap, g_hat, jac_hat, outer, dense_ledger)
+    ledger = QueryLedger()
+    got = grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch_b, outer, ledger)
+
+    tol = 1e-12 * _scale(problem, snap, g_hat, jac_hat, outer)
+    assert np.all(np.abs(got.direction - dense.direction) <= tol)
+    assert ledger == dense_ledger
+    assert ledger.total == 2 * len(batch_b) + 2 * len(outer) == got.queries_charged
+
+    # a singleton outer batch is scvr2's step
+    single = grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch_b, outer[:1], QueryLedger())
+    scvr2 = grad_scvr2(problem, snap, g_hat, jac_hat, outer[0], QueryLedger())
+    tol = 1e-12 * _scale(problem, snap, g_hat, jac_hat, outer[:1])
+    assert np.all(np.abs(single.direction - scvr2.direction) <= tol)
+
+    # at the snapshot every correction cancels exactly
+    g_snap = estimate_inner(problem, snap.x_tilde, snap, batch_a, QueryLedger())
+    at_snap = grad_minibatch_v1_vjp(
+        problem, snap.x_tilde, snap, g_snap, batch_b, outer, QueryLedger()
+    )
+    assert at_snap.direction.tobytes() == snap.grad_tilde.tobytes()

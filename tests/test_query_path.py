@@ -155,6 +155,71 @@ def test_affine_components_equal_formulas(affine_small):
         assert affine_small.outer_component_gradient(i, w).tobytes() == r.tobytes()
 
 
+def _reference_sne_inner(problem, j, x):
+    pts = x[: problem.dim_x].reshape(problem.n_points, problem.embed_dim)
+    diff = pts - pts[j - 1]
+    kern = np.exp(-(diff * diff).sum(axis=1))
+    tail = problem.n_points * kern - 1.0
+    return np.concatenate([np.asarray(x, dtype=float), tail])
+
+
+def _reference_sne_outer_gradient(problem, i, w):
+    """The defining expressions; returns the gradient and the clamp count."""
+    n, d = problem.n_points, problem.embed_dim
+    pts = w[: problem.dim_x].reshape(n, d)
+    s = w[problem.dim_x :]
+    low = s < problem.LOG_FLOOR
+    if np.any(low):
+        s = np.maximum(s, problem.LOG_FLOOR)
+    weights = problem.p_matrix[:, i - 1]
+    diff = pts - pts[i - 1]
+    gblocks = (2.0 * n) * weights[:, None] * diff
+    gblocks[i - 1] -= gblocks.sum(axis=0)
+    gtail = n * weights / s
+    return np.concatenate([gblocks.ravel(), gtail]), int(low.sum())
+
+
+# normalizer entries around, below and far below the log floor, and NaN
+normalizers = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-13, 1e-12, 1.0000000000000001e-12, 9.999999999999999e-13,
+                     -5.0, math.nan]),
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(2, 6), st.integers(1, 3)),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sne_components_bitwise_equal_formulas(seed, shape, data):
+    n, embed_dim = shape
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 1.0, size=(n, n)) + 1e-3
+    np.fill_diagonal(p, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    problem = problems.SneProblem(p, embed_dim, sigma=1.0)
+    scaled = st.floats(-30.0, 30.0, allow_nan=False, width=64)
+    x = data.draw(hnp.arrays(np.float64, problem.dim_x, elements=scaled))
+    w = np.concatenate([
+        data.draw(hnp.arrays(np.float64, problem.dim_x, elements=scaled)),
+        data.draw(hnp.arrays(np.float64, n, elements=normalizers)),
+    ])
+    j = data.draw(st.integers(1, n))
+    before = (x.tobytes(), w.tobytes())
+
+    assert problem.inner_component(j, x).tobytes() == _reference_sne_inner(problem, j, x).tobytes()
+    with np.errstate(all="ignore"):
+        want, clamps = _reference_sne_outer_gradient(problem, j, w)
+        got = problem.outer_component_gradient(j, w)
+        assert got.tobytes() == want.tobytes()
+        assert problem.clamp_events == clamps
+        problem.outer_component(j, w)
+    assert problem.clamp_events == 2 * clamps
+    assert (x.tobytes(), w.tobytes()) == before  # the arguments are not modified
+
+
 # -- one helper call per charged query --------------------------------------------
 
 
