@@ -16,8 +16,16 @@ the checkout's own ``perfbench/``.
 It writes ``BENCH_<NAME>.json`` after every pair, holding the machine
 record, each checkout's commit, and per workload and metric the
 per-run values, median and quartiles of each side, the relative change
-of the medians, and in how many pairs the change read better (ties
-count for neither side).
+of the medians, in how many pairs the change read better (ties count
+for neither side), and a ``verdict`` against the metric's ``bound`` in
+BENCHMARK.json:
+
+    regression    the change's median is worse by more than the bound
+    gain          the change read better in at least 9/10 of the pairs
+                  and its median is better by more than the parent's IQR
+    unresolved    the parent's IQR/median exceeds the bound and not every
+                  change run beats every parent run
+    within_bound  anything else
 """
 
 from __future__ import annotations
@@ -74,6 +82,24 @@ def side_summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Paired runs of one metric, judged as the module docstring says;
+    ``parent[k]`` and ``change[k]`` are pair k."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    p, c = side_summary(parent), side_summary(change)
+    if sign * (c["median"] / p["median"] - 1.0) > bound:
+        return "regression"
+    iqr = p["q3"] - p["q1"]
+    wins = sum(sign * cv < sign * pv for pv, cv in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and sign * (p["median"] - c["median"]) > iqr:
+        return "gain"
+    if iqr / p["median"] > bound and not max(sign * v for v in change) < min(
+        sign * v for v in parent
+    ):
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(results: dict, units: dict) -> dict:
     """Per workload: correctness and, per metric, both sides and the wins."""
     out = {}
@@ -105,6 +131,8 @@ def summarize(results: dict, units: dict) -> dict:
                 "median_change_rel": change["median"] / parent["median"] - 1.0,
                 "parent_iqr": parent["q3"] - parent["q1"],
                 "change_wins_of_pairs": [wins, pairs],
+                "verdict": verdict(values["parent"], values["change"],
+                                   units[metric]["better"], units[metric]["bound"]),
             }
         out[workload] = entry
     return out
@@ -116,7 +144,7 @@ def main(argv=None) -> int:
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    units = {m["name"]: {"unit": m["unit"], "better": m["better"]} for m in bench["end_to_end"]}
+    units = {m["name"]: m for m in bench["end_to_end"]}
     out_path = Path(f"BENCH_{args.name}.json")
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S "

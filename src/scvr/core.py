@@ -32,6 +32,7 @@ non-finite entry.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +121,10 @@ class CompositionProblem(abc.ABC):
     m_inner : number of inner components G_j
     dim_x   : decision dimension N
     dim_w   : inner-value dimension M
-    constants : declared or estimated :class:`SmoothnessConstants`
+    constants : declared or estimated :class:`SmoothnessConstants`,
+                computed by ``_estimate_constants`` on first read and
+                cached on the instance, so building a problem pays only
+                for what a run reads (no optimizer run reads them)
 
     Component evaluations must be pure: identical inputs produce
     bitwise-identical outputs.  They are therefore safe to call
@@ -137,7 +141,15 @@ class CompositionProblem(abc.ABC):
     m_inner: int
     dim_x: int
     dim_w: int
-    constants: SmoothnessConstants
+
+    @functools.cached_property
+    def constants(self) -> SmoothnessConstants:
+        return self._estimate_constants()
+
+    def _estimate_constants(self) -> SmoothnessConstants:
+        """The problem's regularity constants; called once, on the first
+        read of ``constants``."""
+        raise NotImplementedError(f"{type(self).__name__} declares no constants")
 
     @abc.abstractmethod
     def inner_component(self, j: int, x: np.ndarray) -> np.ndarray:
@@ -307,6 +319,9 @@ class SampleStream:
         """Uniform integer in 0..k-1 (rejection sampling, no modulo bias)."""
         if k < 1:
             raise ValueError("range must be at least 1")
+        if k > 1 << 64:
+            # no 64-bit draw could be accepted: the limit below would be 0
+            raise ValueError("range must be at most 2^64")
         limit = (1 << 64) - ((1 << 64) % k)
         while True:
             z = self.next_u64()

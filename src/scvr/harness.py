@@ -14,7 +14,10 @@ sweep         re-run one config over a step-size grid, keep the best
 
 Relative output paths resolve against $SCVR_OUT_DIR when it is set.
 Every error path prints one machine-parseable line ``error <CODE>:
-<message>`` to stderr and exits nonzero.
+<message>`` to stderr and exits nonzero.  For ``run`` and ``sweep`` a
+bad config field is ``E_CONFIG`` (exit 2), and a file the config names
+that is missing, unreadable or cannot form a problem is ``E_DATA``
+(exit 3).
 
 Trace CSVs carry a wall_ms column.  Timing is off by default (the
 column reads 0) so that identical config and seed reproduce the file
@@ -126,8 +129,12 @@ def build_problem(block: dict):
             raise ConfigError("problem: sne needs field 'data'")
         target = size("pca_dim", 30)
         sigma = num("sigma", 1.0, float)
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ConfigError(f"problem: field 'sigma' must be finite and positive, got {sigma!r}")
         embed_dim = size("embed_dim", 2)
         data = problems.load_matrix(path)
+        if data.rows < 2:
+            raise problems.ProblemConstructionError(f"{path}: sne needs at least two data rows")
         data = problems.normalize(data)
         k = min(target, data.rows - 1, data.cols)
         data = problems.pca_reduce(data, k)
@@ -136,8 +143,11 @@ def build_problem(block: dict):
         path = block.get("path")
         if not path:
             raise ConfigError("problem: sne_json needs field 'path'")
-        with open(path, encoding="utf-8") as fh:
-            return problems.SneProblem.from_json(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return problems.SneProblem.from_json(fh.read())
+        except (problems.ProblemConstructionError, UnicodeDecodeError) as exc:
+            raise problems.ProblemConstructionError(f"{path}: {exc}") from exc
     raise ConfigError(f"problem: unknown kind {kind!r}")
 
 
@@ -229,6 +239,24 @@ def prepare_experiment(cfg: dict):
     return problem, configs, meta
 
 
+# What preparing a config can raise about the files it names, as opposed
+# to its own fields (ConfigError): E_DATA for both run and sweep.
+_DATA_ERRORS = (
+    problems.MatrixParseError, problems.ProblemConstructionError, OSError, UnicodeDecodeError,
+)
+
+
+def _prepare_or_fail(cfg: dict):
+    """:func:`prepare_experiment`, with each input error mapped to its CLI
+    code and exit status."""
+    try:
+        return prepare_experiment(cfg)
+    except ConfigError as exc:
+        _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
+    except _DATA_ERRORS as exc:
+        _fail(EXIT_DATA, "E_DATA", str(exc))
+
+
 def initial_point(problem, seed: int, scale: float) -> np.ndarray:
     """Deterministic start shared by all algorithms of one experiment."""
     stream = SampleStream(seed ^ 0xD1F3A5C9)
@@ -282,13 +310,7 @@ def cmd_run(args) -> int:
         cfg["output"] = args.output
     if args.seed is not None:
         cfg["seed"] = args.seed
-    try:
-        problem, configs, meta = prepare_experiment(cfg)
-    except (ConfigError, problems.MatrixParseError, problems.ProblemConstructionError) as exc:
-        code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATA
-        _fail(code, "E_CONFIG" if code == EXIT_CONFIG else "E_DATA", str(exc))
-    except FileNotFoundError as exc:
-        _fail(EXIT_DATA, "E_DATA", str(exc))
+    problem, configs, meta = _prepare_or_fail(cfg)
     try:
         sections = run_experiment(problem, configs, meta, timing=args.timing)
     except DivergenceError as exc:
@@ -624,12 +646,7 @@ def cmd_sweep(args) -> int:
         _fail(EXIT_CONFIG, "E_CONFIG", "eta grid is empty")
     if not all(math.isfinite(eta) and eta >= 0.0 for eta in etas):
         _fail(EXIT_CONFIG, "E_CONFIG", f"eta grid {args.etas!r} needs finite non-negative steps")
-    try:
-        problem, configs, meta = prepare_experiment(cfg)
-    except (ConfigError, problems.ProblemConstructionError) as exc:
-        _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
-    except (problems.MatrixParseError, FileNotFoundError) as exc:
-        _fail(EXIT_DATA, "E_DATA", str(exc))
+    problem, configs, meta = _prepare_or_fail(cfg)
     outcome, best_sections = sweep_experiment(problem, configs, meta, etas)
     out = _out_path(meta["output"])
     write_trace_csv(out, best_sections)

@@ -137,9 +137,25 @@ def _record(
     )
 
 
-def _guard(x: np.ndarray, trace: list[TraceRecord], ledger: QueryLedger) -> None:
+def _guard(
+    x: np.ndarray, trace: list[TraceRecord], ledger: QueryLedger, epoch: int, step: int
+) -> None:
+    """Raise :class:`DivergenceError` if the iterate that inner step
+    ``step`` of ``epoch`` produced left the finite box."""
     if not np.all(np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
-        raise DivergenceError("iterate diverged beyond the finite box", trace, ledger)
+        if trace:
+            last = trace[-1]
+            where = (
+                f"last record at epoch {last.epoch}, step {last.inner_iter}: "
+                f"||grad f||^2 = {last.grad_norm_sq!r}"
+            )
+        else:
+            where = "no trace record yet"
+        raise DivergenceError(
+            f"iterate diverged beyond the finite box at epoch {epoch}, step {step} ({where})",
+            trace,
+            ledger,
+        )
 
 
 def step_query_cost(variant: str, m: int, n: int, a: int, b_jac: int, b_out: int) -> int:
@@ -262,7 +278,7 @@ def run(
                 direction = full_gradient(problem, x, ledger)
 
             x = x - eta * direction
-            _guard(x, trace, ledger)
+            _guard(x, trace, ledger, s, k)
             step_index += 1
         if stopped:
             break

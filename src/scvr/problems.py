@@ -32,6 +32,11 @@ class ProblemConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _max_spectral_norm(mats: np.ndarray) -> float:
+    """max_j ||A_j||_2 over a stack of matrices, exact (one batched call)."""
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+
+
 class AffineQuadraticProblem(CompositionProblem):
     """Affine inner map with quadratic outer components.
 
@@ -43,9 +48,9 @@ class AffineQuadraticProblem(CompositionProblem):
 
     with bar quantities the component means, so both the objective and
     its gradient Abar^T (Abar x + bbar - cbar) have closed forms usable
-    as oracles.  Constants: the Jacobian bound is max_j ||A_j||_2
-    (power iteration), the Jacobians are constant (Lipschitz constant
-    0), and each grad F_i is 1-Lipschitz.  The outer gradients are not
+    as oracles.  Constants: the Jacobian bound is max_j ||A_j||_2, the
+    Jacobians are constant (Lipschitz constant 0), and each grad F_i is
+    1-Lipschitz.  The outer gradients are not
     globally bounded; the declared bound is a nominal placeholder used
     only by parameter suggestion.
     """
@@ -65,13 +70,13 @@ class AffineQuadraticProblem(CompositionProblem):
         self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
-        b_g = max(power_iteration_norm(a) for a in mats)
         self.mean_mat = mats.mean(axis=0)
         self.mean_off = offs.mean(axis=0)
         self.mean_target = targets.mean(axis=0)
-        self.constants = SmoothnessConstants(
-            b_g=b_g, l_g=0.0, b_f=1.0, l_f_outer=1.0, l_f=b_g * b_g
-        )
+
+    def _estimate_constants(self) -> SmoothnessConstants:
+        b_g = _max_spectral_norm(self.mats)
+        return SmoothnessConstants(b_g=b_g, l_g=0.0, b_f=1.0, l_f_outer=1.0, l_f=b_g * b_g)
 
     def inner_component(self, j, x):
         return self._mats[j - 1] @ x + self._offs[j - 1]
@@ -182,10 +187,10 @@ class NonconvexSyntheticProblem(CompositionProblem):
         self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
-        b_g = max(power_iteration_norm(a) for a in mats)
-        self.mean_mat = mats.mean(axis=0)
-        self.mean_off = offs.mean(axis=0)
-        self.constants = SmoothnessConstants(
+
+    def _estimate_constants(self) -> SmoothnessConstants:
+        b_g = _max_spectral_norm(self.mats)
+        return SmoothnessConstants(
             b_g=b_g,
             l_g=0.0,
             b_f=self.RHO_PRIME_MAX * math.sqrt(self.dim_w),
@@ -239,13 +244,12 @@ class CurvedInnerProblem(CompositionProblem):
         self.targets = np.asarray(targets, dtype=float)
         self.m_inner, self.dim_w, self.dim_x = self.mats.shape
         self.n_outer = self.targets.shape[0]
-        b_g_lin = max(power_iteration_norm(a) for a in self.mats)
+
+    def _estimate_constants(self) -> SmoothnessConstants:
         l_g = float(np.abs(self.quads).max())
         # Jacobian norm grows with ||x||; declared bound is nominal at radius 2
-        b_g = b_g_lin + 2.0 * l_g
-        self.constants = SmoothnessConstants(
-            b_g=b_g, l_g=l_g, b_f=1.0, l_f_outer=1.0, l_f=b_g * b_g
-        )
+        b_g = _max_spectral_norm(self.mats) + 2.0 * l_g
+        return SmoothnessConstants(b_g=b_g, l_g=l_g, b_f=1.0, l_f_outer=1.0, l_f=b_g * b_g)
 
     def inner_component(self, j, x):
         out = self.mats[j - 1] @ x
@@ -317,6 +321,10 @@ class SneProblem(CompositionProblem):
         n = p.shape[0]
         if n < 2:
             raise ProblemConstructionError("need at least two points")
+        if int(embed_dim) < 1:
+            raise ProblemConstructionError("embed_dim must be at least 1")
+        if not np.all(np.isfinite(p)):
+            raise ProblemConstructionError("similarities must be finite")
         if np.any(p < 0.0):
             raise ProblemConstructionError("similarities must be non-negative")
         if np.any(np.abs(np.diagonal(p)) > 1e-15):
@@ -334,7 +342,6 @@ class SneProblem(CompositionProblem):
         self.dim_x = n * self.embed_dim
         self.dim_w = self.dim_x + n
         self.clamp_events = 0
-        self._constants: SmoothnessConstants | None = None
         template = np.zeros((self.dim_w, self.dim_x))
         template[: self.dim_x, : self.dim_x] = np.eye(self.dim_x)
         self._jac_template = template
@@ -342,12 +349,6 @@ class SneProblem(CompositionProblem):
         self._block_cols = (
             np.arange(n)[:, None] * self.embed_dim + np.arange(self.embed_dim)[None, :]
         )
-
-    @property
-    def constants(self) -> SmoothnessConstants:
-        if self._constants is None:
-            self._constants = self._estimate_constants()
-        return self._constants
 
     def _points(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[: self.dim_x].reshape(self.n_points, self.embed_dim)
@@ -479,14 +480,41 @@ class SneProblem(CompositionProblem):
 
     @classmethod
     def from_json(cls, text: str) -> "SneProblem":
-        obj = json.loads(text)
-        p = np.asarray(obj["p_matrix"], dtype=float)
-        if p.shape != (obj["n"], obj["n"]):
-            raise ProblemConstructionError("p_matrix shape disagrees with n")
-        sigma = obj["sigma"]
-        if isinstance(sigma, list):
-            sigma = np.asarray(sigma, dtype=float)
-        return cls(p, obj["embed_dim"], sigma)
+        """Inverse of :meth:`to_json`.  Malformed input raises
+        :class:`ProblemConstructionError` naming the field at fault."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ProblemConstructionError(f"problem JSON does not parse: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ProblemConstructionError("problem JSON must be an object")
+        for name in ("n", "embed_dim", "sigma", "p_matrix"):
+            if name not in obj:
+                raise ProblemConstructionError(f"problem JSON: missing field {name!r}")
+        for name in ("n", "embed_dim"):
+            value = obj[name]
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (numeric and float(value).is_integer()):
+                raise ProblemConstructionError(
+                    f"problem JSON: field {name!r} must be an integer, got {value!r}"
+                )
+
+        def array(name):
+            try:
+                return np.asarray(obj[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ProblemConstructionError(
+                    f"problem JSON: field {name!r} is not numeric"
+                ) from exc
+
+        n = int(obj["n"])
+        p = array("p_matrix")
+        sigma = array("sigma") if isinstance(obj["sigma"], list) else obj["sigma"]
+        if p.shape != (n, n):
+            raise ProblemConstructionError(
+                f"problem JSON: field 'p_matrix' has shape {p.shape}, n = {n} needs ({n}, {n})"
+            )
+        return cls(p, int(obj["embed_dim"]), sigma)
 
 
 def build_sne(data, sigma, embed_dim: int = 2) -> SneProblem:
@@ -507,7 +535,7 @@ def build_sne(data, sigma, embed_dim: int = 2) -> SneProblem:
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim == 0:
         sig = np.full(n, float(sig))
-    if sig.shape != (n,) or np.any(sig <= 0.0):
+    if sig.shape != (n,) or not np.all(sig > 0.0):  # also rejects NaN
         raise ProblemConstructionError("sigma must be positive (scalar or length-n)")
     with np.errstate(over="ignore"):  # inf distances fall to the degeneracy check
         sq = ((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
