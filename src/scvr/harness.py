@@ -239,21 +239,15 @@ def prepare_experiment(cfg: dict):
     return problem, configs, meta
 
 
-# What preparing a config can raise about the files it names, as opposed
-# to its own fields (ConfigError): E_DATA for both run and sweep.
-_DATA_ERRORS = (
-    problems.MatrixParseError, problems.ProblemConstructionError, OSError, UnicodeDecodeError,
-)
-
-
 def _prepare_or_fail(cfg: dict):
     """:func:`prepare_experiment`, with each input error mapped to its CLI
-    code and exit status."""
+    code: the config's own fields give E_CONFIG, the files it names
+    E_DATA.  ``run`` and ``sweep`` share this mapping."""
     try:
         return prepare_experiment(cfg)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
-    except _DATA_ERRORS as exc:
+    except (problems.MatrixParseError, problems.ProblemConstructionError, OSError) as exc:
         _fail(EXIT_DATA, "E_DATA", str(exc))
 
 
@@ -374,8 +368,10 @@ def cmd_check_params(args) -> int:
               "is undefined at n=1)")
     if args.m < 1:
         _fail(EXIT_CONFIG, "E_ARGS", "m must be at least 1")
-    constants = _constants_from_args(args)
-    report = check_params_report(args.n, args.m, constants, args.b)
+    try:
+        report = check_params_report(args.n, args.m, _constants_from_args(args), args.b)
+    except ValueError as exc:  # a non-positive constant or batch size
+        _fail(EXIT_CONFIG, "E_ARGS", str(exc))
     text = json.dumps(report, indent=2)
     if args.output:
         out = _out_path(args.output)

@@ -50,9 +50,9 @@ class AffineQuadraticProblem(CompositionProblem):
     its gradient Abar^T (Abar x + bbar - cbar) have closed forms usable
     as oracles.  Constants: the Jacobian bound is max_j ||A_j||_2, the
     Jacobians are constant (Lipschitz constant 0), and each grad F_i is
-    1-Lipschitz.  The outer gradients are not
-    globally bounded; the declared bound is a nominal placeholder used
-    only by parameter suggestion.
+    1-Lipschitz.  The outer gradients are not globally bounded; the
+    declared bound is a nominal placeholder used only by parameter
+    suggestion.
     """
 
     def __init__(self, mats: np.ndarray, offs: np.ndarray, targets: np.ndarray):
@@ -535,8 +535,8 @@ def build_sne(data, sigma, embed_dim: int = 2) -> SneProblem:
     sig = np.asarray(sigma, dtype=float)
     if sig.ndim == 0:
         sig = np.full(n, float(sig))
-    if sig.shape != (n,) or not np.all(sig > 0.0):  # also rejects NaN
-        raise ProblemConstructionError("sigma must be positive (scalar or length-n)")
+    if sig.shape != (n,) or not np.all(np.isfinite(sig) & (sig > 0.0)):
+        raise ProblemConstructionError("sigma must be finite and positive (scalar or length-n)")
     with np.errstate(over="ignore"):  # inf distances fall to the degeneracy check
         sq = ((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
     p = np.zeros((n, n))
@@ -588,30 +588,33 @@ def load_matrix(path) -> Dataset:
     An optional first line starting with '#' is skipped.  Ragged rows and
     unparseable cells raise :class:`MatrixParseError` naming the location.
     """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text ({exc})") from exc
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        width = None
-        for lineno, record in enumerate(reader, start=1):
-            if lineno == 1 and record and record[0].lstrip().startswith("#"):
-                continue
-            if not record:
-                continue
-            if width is None:
-                width = len(record)
-            elif len(record) != width:
+    width = None
+    for lineno, record in enumerate(records, start=1):
+        if lineno == 1 and record and record[0].lstrip().startswith("#"):
+            continue
+        if not record:
+            continue
+        if width is None:
+            width = len(record)
+        elif len(record) != width:
+            raise MatrixParseError(
+                f"row {lineno}: expected {width} columns, found {len(record)}"
+            )
+        parsed = []
+        for col, cell in enumerate(record, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError as exc:
                 raise MatrixParseError(
-                    f"row {lineno}: expected {width} columns, found {len(record)}"
-                )
-            parsed = []
-            for col, cell in enumerate(record, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError as exc:
-                    raise MatrixParseError(
-                        f"row {lineno}, column {col}: cannot parse {cell!r}"
-                    ) from exc
-            rows.append(parsed)
+                    f"row {lineno}, column {col}: cannot parse {cell!r}"
+                ) from exc
+        rows.append(parsed)
     if not rows:
         raise MatrixParseError(f"{path}: no data rows")
     return Dataset(np.asarray(rows))

@@ -198,6 +198,18 @@ def test_splitmix_recurrence_reference():
     assert stream.next_u64() == 0x6E789E6AA1B965F4
 
 
+def test_randrange_rejects_ranges_above_two_to_the_64():
+    # no 64-bit draw is below the rejection limit there, so it would never
+    # return; the finite draw supply turns such a loop into a failure
+    stream = SampleStream(1)
+    draws = iter([0] * 100)
+    stream.next_u64 = lambda: next(draws)
+    with pytest.raises(ValueError, match="2\\^64"):
+        stream.randrange(2**64 + 1)
+    # at exactly 2^64 every draw is accepted and returned as drawn
+    assert SampleStream(1).randrange(2**64) == SampleStream(1).next_u64()
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=50))
 @settings(max_examples=50, deadline=None)
 def test_sample_indices_stay_in_range(seed, range_max):

@@ -167,6 +167,13 @@ def test_check_params_rejects_n1(capsys):
     assert capsys.readouterr().err.startswith("error E_ARGS:")
 
 
+@pytest.mark.parametrize("flag,value", [("--b", "0"), ("--bg", "0"), ("--lf", "nan")])
+def test_check_params_bad_constant_or_batch_is_one_args_error_line(capsys, flag, value):
+    assert main(["check-params", "--n", "10", "--m", "10", flag, value]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_ARGS:")
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -225,6 +232,14 @@ def test_embed_missing_file_names_path(tmp_path, capsys):
     code = main(["embed", "--data", str(tmp_path / "absent.csv")])
     assert code == EXIT_DATA
     assert "absent.csv" in capsys.readouterr().err
+
+
+def test_embed_non_utf8_data_is_one_data_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    assert main(["embed", "--data", str(path), "--output", str(tmp_path / "e.csv")]) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error E_DATA:") and "binary.csv" in lines[0]
 
 
 # -- sweep --------------------------------------------------------------------------
@@ -296,8 +311,7 @@ def _corrupt(tmp_path, where, name, value):
     return path
 
 
-@pytest.mark.parametrize(
-    "where,name,value",
+BAD_CONFIG_FIELDS = (
     [("problem", name, value) for name, value in PROBLEM_FIELDS]
     + [("sne", name, value) for name, value in SNE_FIELDS]
     + [("config", name, value) for name, value in TOP_FIELDS]
@@ -308,15 +322,84 @@ def _corrupt(tmp_path, where, name, value):
        for name in ("n", "m", "dim_x", "dim_w") for value in (0, -1)]
     + [("sne", name, value) for name in ("pca_dim", "embed_dim") for value in (0, -1)]
     # algorithm entries that are not objects
-    + [("entry", "algorithms", value) for value in (7, "scvr1", None, [])],
+    + [("entry", "algorithms", value) for value in (7, "scvr1", None, [])]
+    # bandwidths that are not finite and positive
+    + [("sne", "sigma", value) for value in (0, -1, float("nan"), float("inf"))]
 )
+
+
+def _one_error_line(capsys, tag: str) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error {tag}:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("where,name,value", BAD_CONFIG_FIELDS)
 def test_run_bad_config_field_is_one_config_error_line(tmp_path, capsys, where, name, value):
     path = _corrupt(tmp_path, where, name, value)
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error E_CONFIG:")
-    assert name in lines[0]
+    assert name in _one_error_line(capsys, "E_CONFIG")
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("where,name,value", BAD_CONFIG_FIELDS)
+def test_sweep_bad_config_field_is_one_config_error_line(tmp_path, capsys, where, name, value):
+    path = _corrupt(tmp_path, where, name, value)
+    assert main(["sweep", "--config", str(path), "--etas", "0.005"]) == EXIT_CONFIG
+    assert name in _one_error_line(capsys, "E_CONFIG")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def _sne_json_text(mutate) -> str:
+    data, _ = problems.make_cluster_data(8, clusters=2, dim=5, seed=9)
+    obj = json.loads(problems.build_sne(data, sigma=1.5, embed_dim=2).to_json())
+    out = mutate(obj)
+    return out if isinstance(out, str) else json.dumps(out)
+
+
+# (mutation of a valid sne_json file, text the error line must contain)
+BAD_SNE_JSON = {
+    "missing_p_matrix": (lambda o: {k: v for k, v in o.items() if k != "p_matrix"}, "p_matrix"),
+    "missing_sigma": (lambda o: {k: v for k, v in o.items() if k != "sigma"}, "sigma"),
+    "not_json": (lambda o: '{"n": 8, ', "does not parse"),
+    "not_an_object": (lambda o: "[1, 2]", "object"),
+    "n_not_numeric": (lambda o: {**o, "n": "eight"}, "'n'"),
+    "embed_dim_not_numeric": (lambda o: {**o, "embed_dim": None}, "embed_dim"),
+    "embed_dim_zero": (lambda o: {**o, "embed_dim": 0}, "embed_dim"),
+    "p_matrix_shape_disagrees_with_n": (lambda o: {**o, "n": 5}, "p_matrix"),
+    "p_matrix_not_numeric": (lambda o: {**o, "p_matrix": [["a"] * 8] * 8}, "p_matrix"),
+    "p_matrix_nan": (lambda o: {**o, "p_matrix": [[float("nan")] * 8] * 8}, "finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", list(BAD_SNE_JSON))
+def test_bad_sne_json_file_is_one_data_error_line(tmp_path, capsys, command, case):
+    mutate, needle = BAD_SNE_JSON[case]
+    json_path = tmp_path / "problem.json"
+    json_path.write_text(_sne_json_text(mutate))
+    path, _ = _write_config(
+        tmp_path, problem={"kind": "sne_json", "path": str(json_path)}, budget=None,
+        algorithms=[{"variant": "scvr2", "eta": 0.005, "epochs_s": 1, "inner_k": 2}],
+    )
+    extra = ["--etas", "0.005"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *extra]) == EXIT_DATA
+    line = _one_error_line(capsys, "E_DATA")
+    assert str(json_path) in line and needle in line
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_single_row_sne_data_is_one_data_error_line(tmp_path, capsys, command):
+    data_path = tmp_path / "one.csv"
+    data_path.write_text("0.5,1.5,2.5\n")
+    path, _ = _write_config(
+        tmp_path, problem={"kind": "sne", "data": str(data_path)}, budget=None,
+        algorithms=[{"variant": "scvr2", "eta": 0.005, "epochs_s": 1, "inner_k": 2}],
+    )
+    extra = ["--etas", "0.005"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *extra]) == EXIT_DATA
+    assert "two data rows" in _one_error_line(capsys, "E_DATA")
 
 
 def _nan_outer_gradient(self, i, w):

@@ -195,6 +195,25 @@ def test_divergence_raises_with_partial_trace(affine_small):
     assert excinfo.value.ledger.total > 0
 
 
+def test_divergence_message_names_epoch_step_and_last_record(affine_small):
+    cfg = _cfg("gd", eta=1e9, epochs_s=1, inner_k=50, record_every=1)
+    with pytest.raises(DivergenceError) as excinfo:
+        run(affine_small, cfg, x0=np.ones(3))
+    err = excinfo.value
+    last = err.trace[-1]
+    step = len(err.trace) - 1  # one record per step, taken before the step
+    assert (last.epoch, last.inner_iter) == (0, step)
+    assert f"at epoch 0, step {step}" in str(err)
+    assert f"last record at epoch 0, step {step}" in str(err)
+    assert repr(last.grad_norm_sq) in str(err)
+
+
+def test_divergence_guard_without_records_says_so():
+    # run() records before its first step, so only a direct call has none
+    with pytest.raises(DivergenceError, match="at epoch 0, step 0 \\(no trace record yet\\)"):
+        optimizers._guard(np.array([np.inf]), [], QueryLedger(), 0, 0)
+
+
 # -- descent behavior -----------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ embedding problem's structure, preprocessing, and CSV ingestion."""
 import numpy as np
 import pytest
 
-from scvr import core, verification
+from scvr import core, problems, verification
 from scvr.core import QueryLedger
 from scvr.problems import (
     Dataset,
@@ -52,6 +52,38 @@ def test_affine_oracles(affine_small):
     )
     grad = core.full_gradient(affine_small, x, QueryLedger())
     assert np.abs(grad - affine_small.oracle_gradient(x)).max() < 1e-10
+
+
+# -- lazy constants ------------------------------------------------------------------
+
+FACTORIES = {
+    "affine_quadratic": lambda: problems.make_affine_quadratic(
+        n=5, m=4, dim_x=3, dim_w=3, seed=1
+    ),
+    "balanced_affine": lambda: problems.make_balanced_affine(m_pairs=2, dim_x=3, dim_w=3, seed=6),
+    # the benchmark's instance: a power-iteration Rayleigh quotient fell
+    # below its largest component norm
+    "nonconvex_synthetic": lambda: problems.make_nonconvex_synthetic(
+        n=100, m=100, dim_x=8, dim_w=8, seed=7
+    ),
+    "curved_inner": lambda: problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=5),
+    "sne": lambda: build_sne(make_cluster_data(6, clusters=2, dim=5, seed=3)[0], sigma=2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_constants_are_computed_on_first_read_and_cached(name):
+    problem = FACTORIES[name]()
+    assert "constants" not in vars(problem)
+    first = problem.constants
+    assert problem.constants is first
+
+
+@pytest.mark.parametrize("name", [name for name in FACTORIES if name != "sne"])
+def test_synthetic_jacobian_bound_holds_for_every_component(name):
+    problem = FACTORIES[name]()
+    for a in problem.mats:
+        assert problem.constants.b_g >= np.linalg.norm(a, 2)
 
 
 def test_affine_spectral_bound_power_iteration(affine_small):
@@ -169,6 +201,10 @@ def test_sne_rejects_bad_sigma():
         build_sne(data, sigma=0.0)
     with pytest.raises(ProblemConstructionError):
         build_sne(data, sigma=np.array([1.0, 1.0]))
+    # NaN used to pass as "degenerate row 0", inf as uniform similarities
+    for bad in (np.nan, np.inf, np.array([1.0, np.nan, 1.0, 1.0])):
+        with pytest.raises(ProblemConstructionError, match="finite and positive"):
+            build_sne(data, sigma=bad)
 
 
 def test_sne_degenerate_row_error():
@@ -292,6 +328,13 @@ def test_load_matrix_bad_cell(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,abc\n")
     with pytest.raises(MatrixParseError, match="column 2"):
+        load_matrix(path)
+
+
+def test_load_matrix_not_utf8_names_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xff\xfe1,2\n")
+    with pytest.raises(MatrixParseError, match="m.csv: not UTF-8"):
         load_matrix(path)
 
 
