@@ -17,12 +17,17 @@ concrete problem classes and nowhere else.
 Query path contract: every charged query is exactly one call of a
 module-level ``query_*`` helper, which checks the index, charges the
 ledger by 1 and evaluates one component.  ``query_inner_jacobian``
-takes an optional vector ``v``: with it, the one call and the one
-charge return the product dG_j(x)^T v (the only way the stochastic
-steps use a Jacobian) instead of the dense (M, N) matrix, and the
-finiteness check runs on that product.  Each helper checks its output
-for finiteness per query.  For arrays the first test is the squared
-norm ``vdot(out, out)``: any NaN or infinite entry makes it non-finite.
+returns one of three forms of dG_j(x) for that one call and one
+charge: the dense (M, N) matrix by default; the product dG_j(x)^T v
+when a vector ``v`` is given (the form the stochastic steps use); or,
+with ``compact=True``, the problem's compact part of dG_j(x) (the
+(n, d) slice g[:, j] for the embedding problem, the dense matrix for
+the synthetics), from which ``CompositionProblem.assemble_mean_jacobian``
+builds the exact mean Jacobian as an operator (the form the snapshot,
+``full_gradient`` and the svrg step use).  The finiteness check runs on
+the returned form.  Each helper checks its output for finiteness per
+query.  For arrays the first test is the squared norm
+``vdot(out, out)``: any NaN or infinite entry makes it non-finite.
 Only when it is non-finite does the exact elementwise test run, so
 finite outputs whose squared norm overflows still pass, and the set of
 outputs that raise :class:`EvaluationError` is exactly the set with a
@@ -35,6 +40,7 @@ import abc
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -112,6 +118,30 @@ class QueryLedger:
         )
 
 
+class MeanJacobian(Protocol):
+    """The exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x) at one point,
+    as an operator.  ``rmatvec(v)`` returns dG(x)^T v for a length-M
+    vector v (a new length-N vector; v is not modified), and ``dense()``
+    returns the (M, N) matrix, which the caller must not modify."""
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray: ...
+
+    def dense(self) -> np.ndarray: ...
+
+
+class DenseMeanJacobian:
+    """A :class:`MeanJacobian` held as its dense (M, N) matrix."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ v
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+
 class CompositionProblem(abc.ABC):
     """Interface every concrete two-level finite-sum problem implements.
 
@@ -135,6 +165,13 @@ class CompositionProblem(abc.ABC):
     same sense and must not modify ``v``.  The default multiplies the
     dense Jacobian; a problem whose Jacobian has structure overrides it
     so that no (M, N) array is built.
+
+    ``compact_jacobian(j, x)`` and ``assemble_mean_jacobian(parts)`` are
+    the Jacobian access of full evaluations: the mean Jacobian is built
+    from the m compact parts as a :class:`MeanJacobian`.  The defaults
+    take the dense Jacobian as the part and sum the parts in index
+    order, exactly as :func:`inner_jacobian_full` does; a structured
+    problem overrides both together.
     """
 
     n_outer: int
@@ -164,6 +201,21 @@ class CompositionProblem(abc.ABC):
         length-N vector.  Leaves ``v`` unchanged."""
         return self.inner_component_jacobian(j, x).T @ v
 
+    def compact_jacobian(self, j: int, x: np.ndarray) -> np.ndarray:
+        """The part of dG_j(x) that :meth:`assemble_mean_jacobian` needs;
+        by default the dense (M, N) Jacobian.  Pure, like the other
+        evaluations."""
+        return self.inner_component_jacobian(j, x)
+
+    def assemble_mean_jacobian(self, parts: Iterable[np.ndarray]) -> MeanJacobian:
+        """(1/m) sum_j dG_j as a :class:`MeanJacobian`, from the compact
+        parts of j = 1..m, consumed once and in that order."""
+        parts = iter(parts)
+        acc = next(parts).astype(float, copy=True)
+        for part in parts:
+            acc += part
+        return DenseMeanJacobian(acc / self.m_inner)
+
     @abc.abstractmethod
     def outer_component(self, i: int, w: np.ndarray) -> float:
         """F_i(w), i in 1..n_outer; returns a scalar."""
@@ -192,13 +244,18 @@ def query_inner_jacobian(
     x: np.ndarray,
     ledger: QueryLedger,
     v: np.ndarray | None = None,
+    *,
+    compact: bool = False,
 ) -> np.ndarray:
-    """Evaluate dG_j(x), or dG_j(x)^T v when ``v`` is given, charging one
-    inner-Jacobian query either way."""
+    """Evaluate dG_j(x), dG_j(x)^T v when ``v`` is given, or the compact
+    part of dG_j(x) when ``compact`` is true (then ``v`` must be None),
+    charging one inner-Jacobian query in each case."""
     if not 1 <= j <= problem.m_inner:
         raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_jacobian_queries += 1
-    if v is None:
+    if compact:
+        out = problem.compact_jacobian(j, x)
+    elif v is None:
         out = problem.inner_component_jacobian(j, x)
     else:
         out = problem.inner_component_vjp(j, x, v)
@@ -246,11 +303,24 @@ def inner_full(
 def inner_jacobian_full(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
-    """Exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x).  Costs m queries."""
+    """Exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x) as a dense matrix,
+    summed from the dense component Jacobians: the reference for
+    :func:`mean_jacobian`.  Costs m queries."""
     acc = query_inner_jacobian(problem, 1, x, ledger).astype(float, copy=True)
     for j in range(2, problem.m_inner + 1):
         acc += query_inner_jacobian(problem, j, x, ledger)
     return acc / problem.m_inner
+
+
+def mean_jacobian(
+    problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
+) -> MeanJacobian:
+    """Exact mean Jacobian dG(x) as a :class:`MeanJacobian`, assembled by
+    the problem from m compact queries.  Costs m queries."""
+    return problem.assemble_mean_jacobian(
+        query_inner_jacobian(problem, j, x, ledger, compact=True)
+        for j in range(1, problem.m_inner + 1)
+    )
 
 
 def outer_gradient_full(
@@ -268,8 +338,8 @@ def full_gradient(
 ) -> np.ndarray:
     """Exact composite gradient (dG(x))^T grad F(G(x)).  Costs 2m+n queries."""
     value = inner_full(problem, x, ledger)
-    jac = inner_jacobian_full(problem, x, ledger)
-    return jac.T @ outer_gradient_full(problem, value, ledger)
+    jac = mean_jacobian(problem, x, ledger)
+    return jac.rmatvec(outer_gradient_full(problem, value, ledger))
 
 
 def objective(

@@ -10,11 +10,14 @@ estimator returns the cached full gradient bit for bit.  Batches are
 index multisets (1-based, with replacement) materialized by the caller,
 which lets tests replay a draw through the exhaustive oracles.
 
-The gradient estimators used by the optimizer steps (``grad_scvr1``,
-``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``) take each sampled
-Jacobian as one product dG_j(.)^T u, so no dense Jacobian is formed
-per step.  ``estimate_inner_jacobian``, ``grad_scvr2`` and
-``grad_minibatch_v1`` keep the dense form; they are the reference the
+The snapshot keeps the mean Jacobian at x_tilde as a
+:class:`~scvr.core.MeanJacobian` operator built from m compact
+queries, and the gradient estimators used by the optimizer steps
+(``grad_scvr1``, ``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``)
+take it and each sampled Jacobian as products, so no step and no
+snapshot forms a dense Jacobian.  ``estimate_inner_jacobian``,
+``grad_scvr2`` and ``grad_minibatch_v1`` keep the dense form (the
+snapshot's through ``jac_tilde.dense()``); they are the reference the
 verification suite compares against.
 """
 
@@ -27,9 +30,10 @@ import numpy as np
 
 from scvr.core import (
     CompositionProblem,
+    MeanJacobian,
     QueryLedger,
     inner_full,
-    inner_jacobian_full,
+    mean_jacobian,
     outer_gradient_full,
     query_inner_jacobian,
     query_inner_value,
@@ -42,12 +46,13 @@ class EpochSnapshot:
     """Per-epoch cached quantities at the reference point.
 
     g_tilde, jac_tilde and grad_tilde are the exact inner value, mean
-    Jacobian and composite gradient at x_tilde.
+    Jacobian (an operator with ``rmatvec`` and ``dense``) and composite
+    gradient at x_tilde.
     """
 
     x_tilde: np.ndarray
     g_tilde: np.ndarray
-    jac_tilde: np.ndarray
+    jac_tilde: MeanJacobian
     grad_tilde: np.ndarray
 
 
@@ -63,8 +68,8 @@ def take_snapshot(
     """Compute the epoch cache at x.  Costs exactly 2m + n queries."""
     x = np.array(x, dtype=float, copy=True)
     g = inner_full(problem, x, ledger)
-    jac = inner_jacobian_full(problem, x, ledger)
-    grad = jac.T @ outer_gradient_full(problem, g, ledger)
+    jac = mean_jacobian(problem, x, ledger)
+    grad = jac.rmatvec(outer_gradient_full(problem, g, ledger))
     return EpochSnapshot(x_tilde=x, g_tilde=g, jac_tilde=jac, grad_tilde=grad)
 
 
@@ -107,12 +112,13 @@ def estimate_inner_jacobian(
     Costs 2B queries.  Unbiased for dG(x) under uniform batches.
     """
     _require_batch(batch)
-    acc = np.zeros_like(snap.jac_tilde)
+    jac_tilde = snap.jac_tilde.dense()
+    acc = np.zeros_like(jac_tilde)
     for j in batch:
         fresh = query_inner_jacobian(problem, j, x, ledger)
         anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger)
         acc += fresh - anchor
-    return acc / len(batch) + snap.jac_tilde
+    return acc / len(batch) + jac_tilde
 
 
 def grad_scvr1(
@@ -162,7 +168,8 @@ def grad_scvr2(
     """
     outer_x = query_outer_gradient(problem, i, g_hat, ledger)
     outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-    direction = jac_hat.T @ outer_x - snap.jac_tilde.T @ outer_t + snap.grad_tilde
+    jac_tilde = snap.jac_tilde.dense()
+    direction = jac_hat.T @ outer_x - jac_tilde.T @ outer_t + snap.grad_tilde
     return GradientEstimate(direction=direction, queries_charged=2)
 
 
@@ -182,11 +189,12 @@ def grad_minibatch_v1(
     Costs 2b queries.  A singleton batch reproduces grad_scvr2 exactly.
     """
     _require_batch(outer_batch)
+    jac_tilde = snap.jac_tilde.dense()
     acc = np.zeros_like(snap.grad_tilde)
     for i in outer_batch:
         outer_x = query_outer_gradient(problem, i, g_hat, ledger)
         outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-        acc += jac_hat.T @ outer_x - snap.jac_tilde.T @ outer_t
+        acc += jac_hat.T @ outer_x - jac_tilde.T @ outer_t
     direction = acc / len(outer_batch) + snap.grad_tilde
     return GradientEstimate(direction=direction, queries_charged=2 * len(outer_batch))
 
@@ -253,7 +261,7 @@ def grad_minibatch_v1_vjp(
     _require_batch(jac_batch)
     u_x, u_t = _mean_outer_gradients(problem, snap, g_hat, outer_batch, ledger)
     correction = _mean_product_difference(problem, x, snap, jac_batch, u_x, u_x, ledger)
-    direction = snap.jac_tilde.T @ (u_x - u_t) + correction + snap.grad_tilde
+    direction = snap.jac_tilde.rmatvec(u_x - u_t) + correction + snap.grad_tilde
     return GradientEstimate(
         direction=direction,
         queries_charged=2 * len(jac_batch) + 2 * len(outer_batch),

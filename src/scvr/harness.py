@@ -43,6 +43,8 @@ from scvr.core import (
     QueryLedger,
     SampleStream,
     SmoothnessConstants,
+    inner_jacobian_full,
+    outer_gradient_full,
     sample_indices,
 )
 from scvr.optimizers import DivergenceError, OptimizerConfig, TraceRecord
@@ -89,13 +91,19 @@ _ALGO_FIELDS = {
 
 
 def _field(block: dict, name: str, default, convert, where: str):
-    """``convert(block[name])`` (or of ``default``); a value that does not
-    convert is a :class:`ConfigError` naming the field."""
+    """``convert(block[name])`` (or of ``default``) for ``convert`` int or
+    float.  A value that is not a JSON number (a string, a bool, null),
+    or is not integral where ``convert`` is int, is a
+    :class:`ConfigError` naming the field: nothing is truncated."""
     value = block.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}")
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: field {name!r} must be an integer, got {value!r}")
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: field {name!r} must be a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: field {name!r} is out of range, got {value!r}") from exc
 
 
 def build_problem(block: dict):
@@ -412,6 +420,31 @@ def _check_snapshot_identities() -> tuple[bool, str]:
     return worst <= 1e-12, f"max snapshot deviation {worst:.2e}"
 
 
+def _check_snapshot_operator() -> tuple[bool, str]:
+    """The snapshot's mean-Jacobian operator against the dense reference
+    ``inner_jacobian_full`` on a small embedding and an affine problem:
+    ``dense()`` equal entry by entry, ``rmatvec`` to 1e-12 of |J|^T |v|."""
+    data, _ = problems.make_cluster_data(7, clusters=2, dim=4, seed=1)
+    cases = (
+        problems.build_sne(data, sigma=1.0, embed_dim=2),
+        problems.make_affine_quadratic(n=4, m=5, dim_x=3, dim_w=3, seed=11),
+    )
+    stream = SampleStream(13)
+    worst = 0.0
+    for problem in cases:
+        x = stream.normal_vector(problem.dim_x, 0.5)
+        snap = estimators.take_snapshot(problem, x, QueryLedger())
+        dense = inner_jacobian_full(problem, x, QueryLedger())
+        if not np.array_equal(snap.jac_tilde.dense(), dense):
+            return False, f"{type(problem).__name__}: dense() differs from the reference"
+        for _ in range(5):
+            v = stream.normal_vector(problem.dim_w)
+            scale = np.maximum(np.abs(dense).T @ np.abs(v), np.finfo(float).tiny)
+            err = np.abs(snap.jac_tilde.rmatvec(v) - dense.T @ v) / scale
+            worst = max(worst, float(err.max()))
+    return worst <= 1e-12, f"max operator error {worst:.2e} of |J|^T|v|"
+
+
 def _check_inner_unbiasedness() -> tuple[bool, str]:
     problem = problems.make_affine_quadratic(n=3, m=4, dim_x=3, dim_w=3, seed=3)
     ledger = QueryLedger()
@@ -435,8 +468,6 @@ def _check_grad_conditional_mean() -> tuple[bool, str]:
     g_hat = estimators.estimate_inner(problem, x, snap, [2], ledger)
     mean = verification.exhaustive_grad_mean(problem, x, snap, g_hat, "scvr1")
     shadow = QueryLedger()
-    from scvr.core import inner_jacobian_full, outer_gradient_full
-
     expected = inner_jacobian_full(problem, x, shadow).T @ outer_gradient_full(
         problem, g_hat, shadow
     )
@@ -511,6 +542,7 @@ def _check_recursion_closed_forms() -> tuple[bool, str]:
 
 VERIFY_CHECKS = (
     ("snapshot_identities", _check_snapshot_identities),
+    ("snapshot_operator", _check_snapshot_operator),
     ("inner_unbiasedness", _check_inner_unbiasedness),
     ("grad_conditional_mean", _check_grad_conditional_mean),
     ("query_accounting", _check_query_accounting),

@@ -19,8 +19,11 @@ the run, matching a uniformly sampled output in distribution without
 storing the whole trajectory.
 
 The stochastic steps (scvr1, scvr2, the mini-batch variants and sgd)
-query each sampled Jacobian as one product dG_j(x)^T v; dense
-Jacobians are formed only by the snapshot, svrg and gd.
+query each sampled Jacobian as one product dG_j(x)^T v.  The snapshot,
+the svrg step and every full gradient (gd's step and the trace
+records) build the mean Jacobian as an operator from m compact queries
+and multiply through ``rmatvec``.  No run path forms a dense Jacobian
+of a problem whose compact part is not the dense matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from scvr.core import (
     SampleStream,
     full_gradient,
     inner_full,
-    inner_jacobian_full,
+    mean_jacobian,
     objective,
     query_inner_jacobian,
     query_outer_gradient,
@@ -263,11 +266,13 @@ def run(
                 direction = est.direction
             elif variant == "svrg":
                 value = inner_full(problem, x, ledger)
-                jac = inner_jacobian_full(problem, x, ledger)
+                jac = mean_jacobian(problem, x, ledger)
                 i = stream.randrange(n) + 1
                 outer_x = query_outer_gradient(problem, i, value, ledger)
                 outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-                direction = jac.T @ outer_x - snap.jac_tilde.T @ outer_t + snap.grad_tilde
+                direction = (
+                    jac.rmatvec(outer_x) - snap.jac_tilde.rmatvec(outer_t) + snap.grad_tilde
+                )
             elif variant == "sgd":
                 value = inner_full(problem, x, ledger)
                 i = stream.randrange(n) + 1

@@ -308,6 +308,13 @@ class SneProblem(CompositionProblem):
     non-positive; outer evaluations clamp the log argument at
     ``log_floor`` and count the event in ``clamp_events``.
 
+    The Jacobian of G_j has the identity as its top block, and its tail
+    row t holds g[t, j] at point t and -g[t, j] at point j, with
+    g[t, j] = -2n k(x_t, x_j) (x_t - x_j) (zero for t = j).  The compact
+    part of dG_j is the (n, d) slice g[:, j], and the mean Jacobian is
+    the operator :class:`SneMeanJacobian` built from the n slices, so
+    full evaluations form no (N + n, N) array.
+
     Smoothness constants are empirical estimates (sampled), suitable for
     parameter suggestion only.
     """
@@ -342,13 +349,6 @@ class SneProblem(CompositionProblem):
         self.dim_x = n * self.embed_dim
         self.dim_w = self.dim_x + n
         self.clamp_events = 0
-        template = np.zeros((self.dim_w, self.dim_x))
-        template[: self.dim_x, : self.dim_x] = np.eye(self.dim_x)
-        self._jac_template = template
-        self._tail_rows = self.dim_x + np.arange(n)
-        self._block_cols = (
-            np.arange(n)[:, None] * self.embed_dim + np.arange(self.embed_dim)[None, :]
-        )
 
     def _points(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[: self.dim_x].reshape(self.n_points, self.embed_dim)
@@ -368,17 +368,37 @@ class SneProblem(CompositionProblem):
         return out
 
     def inner_component_jacobian(self, j, x):
-        n = self.n_points
+        n, d = self.n_points, self.embed_dim
         pts = self._points(x)
-        jac = self._jac_template.copy()
+        jac = np.zeros((self.dim_w, self.dim_x))
+        jac[: self.dim_x] = np.eye(self.dim_x)
         diff = pts - pts[j - 1]
         kern = np.exp(-(diff * diff).sum(axis=1))
         grad = (-2.0 * n) * kern[:, None] * diff  # d(n*kern_t)/d x_t
         grad[j - 1] = 0.0  # the self-similarity row is constant
-        rows = self._tail_rows[:, None]
-        jac[rows, self._block_cols] = grad
-        jac[rows, self._block_cols[j - 1][None, :]] = -grad
+        rows = self.dim_x + np.arange(n)[:, None]
+        block_cols = np.arange(n)[:, None] * d + np.arange(d)[None, :]
+        jac[rows, block_cols] = grad
+        jac[rows, block_cols[j - 1][None, :]] = -grad
         return jac
+
+    def compact_jacobian(self, j, x):
+        """g[:, j], the (n, d) array whose row t is the derivative of
+        n k(x_t, x_j) in x_t; row j is zero."""
+        pts = self._points(x)
+        diff = pts - pts[j - 1]
+        kern = np.exp(-np.add.reduce(diff * diff, axis=1))
+        diff *= ((-2.0 * self.n_points) * kern)[:, None]
+        return diff
+
+    def assemble_mean_jacobian(self, parts):
+        n, d = self.n_points, self.embed_dim
+        slices = np.empty((n, d, n))
+        row_sums = np.zeros((n, d))
+        for j, part in enumerate(parts):
+            slices[j] = part.T
+            row_sums += part
+        return SneMeanJacobian(slices.reshape(n * d, n), row_sums)
 
     def inner_component_vjp(self, j, x, v):
         """dG_j(x)^T v in O(N) without forming the Jacobian: the identity
@@ -491,10 +511,13 @@ class SneProblem(CompositionProblem):
         for name in ("n", "embed_dim", "sigma", "p_matrix"):
             if name not in obj:
                 raise ProblemConstructionError(f"problem JSON: missing field {name!r}")
+
+        def numeric(value):
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
         for name in ("n", "embed_dim"):
             value = obj[name]
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (numeric and float(value).is_integer()):
+            if not (numeric(value) and float(value).is_integer()):
                 raise ProblemConstructionError(
                     f"problem JSON: field {name!r} must be an integer, got {value!r}"
                 )
@@ -509,12 +532,72 @@ class SneProblem(CompositionProblem):
 
         n = int(obj["n"])
         p = array("p_matrix")
-        sigma = array("sigma") if isinstance(obj["sigma"], list) else obj["sigma"]
+        sigma = obj["sigma"]
+        if isinstance(sigma, list):
+            sig = sigma = array("sigma")
+            valid = all(map(numeric, obj["sigma"])) and sig.shape == (n,)
+        else:
+            valid = numeric(sigma)
+            sig = np.asarray(sigma if valid else np.nan, dtype=float)
+        if not (valid and np.all(np.isfinite(sig) & (sig > 0.0))):
+            raise ProblemConstructionError(
+                "problem JSON: field 'sigma' must be finite and positive "
+                f"(a number or a list of n = {n} numbers)"
+            )
         if p.shape != (n, n):
             raise ProblemConstructionError(
                 f"problem JSON: field 'p_matrix' has shape {p.shape}, n = {n} needs ({n}, {n})"
             )
         return cls(p, int(obj["embed_dim"]), sigma)
+
+
+class SneMeanJacobian:
+    """The mean SNE Jacobian (1/n) sum_j dG_j(x) as a
+    :class:`~scvr.core.MeanJacobian`.
+
+    ``slices`` is the (n d, n) array whose row block j holds g[:, j]
+    transposed (``slices[j d + k, t] = g[t, j, k]``) and ``row_sums`` the
+    (n, d) array sum_j g[t, j].  Tail row t of the mean holds
+    row_sums[t] / n at point t and -g[t, b] / n at each point b != t, so
+
+        dG(x)^T v = v_x + (row_sums * v_s[:, None] - slices @ v_s) / n
+
+    for v = [v_x, v_s]: one matrix-vector product.
+    """
+
+    def __init__(self, slices: np.ndarray, row_sums: np.ndarray):
+        self.slices = slices
+        self.row_sums = row_sums
+
+    def rmatvec(self, v):
+        n = self.row_sums.shape[0]
+        dim_x = self.row_sums.size
+        tail = v[dim_x:]
+        out = (self.row_sums * tail[:, None]).ravel()
+        out -= self.slices @ tail
+        out /= n
+        out += v[:dim_x]
+        return out
+
+    def dense(self):
+        """The (N + n, N) matrix; entry by entry the value
+        :func:`~scvr.core.inner_jacobian_full` sums (up to the sign of
+        zeros).  Builds O(n^2 d^2) memory: reference use only."""
+        n, d = self.row_sums.shape
+        dim_x = n * d
+        jac = np.zeros((dim_x + n, dim_x))
+        jac[:dim_x] = np.eye(dim_x)
+        tail = jac[dim_x:].reshape(n, n, d)  # tail[t, b] is row t at point b
+        np.negative(self.slices.reshape(n, d, n).transpose(2, 0, 1), out=tail)
+        tail[np.arange(n), np.arange(n)] = self.row_sums
+        tail /= n
+        return jac
+
+
+# Byte size of the (rows, n, D) difference block ``build_sne`` forms at
+# once: rows of similarities are computed a block at a time, vectorised
+# within the block, so set-up memory stays O(n^2) instead of O(n^2 D).
+SIMILARITY_BLOCK_BYTES = 1 << 21
 
 
 def build_sne(data, sigma, embed_dim: int = 2) -> SneProblem:
@@ -537,21 +620,26 @@ def build_sne(data, sigma, embed_dim: int = 2) -> SneProblem:
         sig = np.full(n, float(sig))
     if sig.shape != (n,) or not np.all(np.isfinite(sig) & (sig > 0.0)):
         raise ProblemConstructionError("sigma must be finite and positive (scalar or length-n)")
-    with np.errstate(over="ignore"):  # inf distances fall to the degeneracy check
-        sq = ((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
-    p = np.zeros((n, n))
-    for t in range(n):
-        logits = -sq[t] / (2.0 * sig[t] ** 2)
-        logits[t] = -np.inf
-        top = logits.max()
-        if not np.isfinite(top):
+    scale = np.array([2.0 * s**2 for s in sig])  # the per-row expression, bit for bit
+    rows = max(1, SIMILARITY_BLOCK_BYTES // (n * max(values.shape[1], 1) * 8))
+    p = np.empty((n, n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        own = np.arange(stop - start), np.arange(start, stop)  # (row, own column)
+        # inf distances and all-(-inf) rows fall to the degeneracy check
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = ((values[start:stop, None, :] - values[None, :, :]) ** 2).sum(axis=2)
+            logits = -sq / scale[start:stop, None]
+            logits[own] = -np.inf
+            logits -= logits.max(axis=1)[:, None]
+            block = np.exp(logits, out=logits)
+            block[own] = 0.0
+            denom = block.sum(axis=1)
+        bad = ~(np.isfinite(denom) & (denom > 0.0))
+        if bad.any():
+            t = start + int(np.argmax(bad))
             raise ProblemConstructionError(f"similarity row {t} degenerates to zero")
-        row = np.exp(logits - top)
-        row[t] = 0.0
-        denom = row.sum()
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise ProblemConstructionError(f"similarity row {t} degenerates to zero")
-        p[t] = row / denom
+        np.divide(block, denom[:, None], out=p[start:stop])
     return SneProblem(p, embed_dim, sigma)
 
 

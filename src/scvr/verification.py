@@ -108,7 +108,7 @@ def exhaustive_jacobian_mean(
     m = problem.m_inner
     _check_guard(m**b, guard)
     shadow = QueryLedger()
-    acc = np.zeros_like(snap.jac_tilde)
+    acc = np.zeros_like(snap.jac_tilde.dense())
     count = 0
     for batch in itertools.product(range(1, m + 1), repeat=b):
         acc += estimate_inner_jacobian(problem, x, snap, batch, shadow)
@@ -185,6 +185,7 @@ class JacobianDeviationSampler:
         self.problem = problem
         self.x = np.asarray(x, dtype=float)
         self.snap = snap
+        self.jac_tilde = snap.jac_tilde.dense()
         self.b = b
         self.space = problem.m_inner**b
 
@@ -198,7 +199,7 @@ class JacobianDeviationSampler:
     def deviation(self, batch) -> float:
         shadow = QueryLedger()
         est = estimate_inner_jacobian(self.problem, self.x, self.snap, batch, shadow)
-        diff = est - self.snap.jac_tilde
+        diff = est - self.jac_tilde
         return float((diff * diff).sum())
 
 

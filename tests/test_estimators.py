@@ -33,7 +33,7 @@ def test_take_snapshot_cost_and_consistency(affine_small):
     assert ledger.total == 2 * m + n
     assert np.array_equal(snap.g_tilde, core.inner_full(affine_small, x, QueryLedger()))
     assert np.array_equal(
-        snap.jac_tilde, core.inner_jacobian_full(affine_small, x, QueryLedger())
+        snap.jac_tilde.dense(), core.inner_jacobian_full(affine_small, x, QueryLedger())
     )
     assert np.array_equal(
         snap.grad_tilde, core.full_gradient(affine_small, x, QueryLedger())
@@ -89,7 +89,7 @@ def test_estimate_jacobian_exact_at_snapshot(curved_inner):
         out = estimate_inner_jacobian(
             curved_inner, snap.x_tilde, snap, batch, QueryLedger()
         )
-        assert np.array_equal(out, snap.jac_tilde)
+        assert np.array_equal(out, snap.jac_tilde.dense())
 
 
 def test_estimate_jacobian_single_draw_unbiased(curved_inner):
@@ -177,14 +177,14 @@ def test_grad_scvr2_enumerated_mean(curved_inner):
     mean = acc / n
     outer_hat = core.outer_gradient_full(curved_inner, g_hat, QueryLedger())
     outer_tilde = core.outer_gradient_full(curved_inner, snap.g_tilde, QueryLedger())
-    expected = jac_hat.T @ outer_hat - snap.jac_tilde.T @ outer_tilde + snap.grad_tilde
+    expected = jac_hat.T @ outer_hat - snap.jac_tilde.dense().T @ outer_tilde + snap.grad_tilde
     assert np.abs(mean - expected).max() < 1e-12
 
 
 def test_grad_scvr2_ledger_delta(curved_inner):
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     ledger = QueryLedger()
-    est = grad_scvr2(curved_inner, snap, snap.g_tilde, snap.jac_tilde, 1, ledger)
+    est = grad_scvr2(curved_inner, snap, snap.g_tilde, snap.jac_tilde.dense(), 1, ledger)
     assert est.queries_charged == 2
     assert ledger.outer_gradient_queries == 2
     assert ledger.total == 2
@@ -220,7 +220,7 @@ def test_grad_minibatch_v1_full_batch_oracle(curved_inner):
     for i in range(1, n + 1):
         outer_hat = curved_inner.outer_component_gradient(i, g_hat)
         outer_tilde = curved_inner.outer_component_gradient(i, snap.g_tilde)
-        acc += jac_hat.T @ outer_hat - snap.jac_tilde.T @ outer_tilde
+        acc += jac_hat.T @ outer_hat - snap.jac_tilde.dense().T @ outer_tilde
     expected = acc / n + snap.grad_tilde
     assert np.abs(est.direction - expected).max() < 1e-12
 
@@ -239,7 +239,7 @@ def test_grad_minibatch_v1_singleton_equals_scvr2(curved_inner):
 def test_grad_minibatch_v1_ledger_delta(affine_small, snap_affine):
     ledger = QueryLedger()
     est = grad_minibatch_v1(
-        affine_small, snap_affine, snap_affine.g_tilde, snap_affine.jac_tilde,
+        affine_small, snap_affine, snap_affine.g_tilde, snap_affine.jac_tilde.dense(),
         [1, 2, 2], ledger,
     )
     assert est.queries_charged == 6
@@ -265,7 +265,7 @@ def test_grad_minibatch_v2_full_batches_oracle(curved_inner):
         list(range(1, m + 1)), list(range(1, n + 1)), QueryLedger(),
     )
     jac_x = core.inner_jacobian_full(curved_inner, x, QueryLedger())
-    jac_t = snap.jac_tilde
+    jac_t = snap.jac_tilde.dense()
     outer_hat = core.outer_gradient_full(curved_inner, g_hat, QueryLedger())
     outer_tilde = core.outer_gradient_full(curved_inner, snap.g_tilde, QueryLedger())
     expected = jac_x.T @ outer_hat - jac_t.T @ outer_tilde + snap.grad_tilde

@@ -325,6 +325,15 @@ BAD_CONFIG_FIELDS = (
     + [("entry", "algorithms", value) for value in (7, "scvr1", None, [])]
     # bandwidths that are not finite and positive
     + [("sne", "sigma", value) for value in (0, -1, float("nan"), float("inf"))]
+    # sizes and counts that are not integral, string numbers and bools:
+    # none may be truncated or parsed
+    + [("problem", "n", 4.7), ("problem", "m", "3"), ("algorithm", "epochs_s", 2.9),
+       ("problem", "dim_x", True), ("problem", "seed", 0.5), ("affine", "dim_w", "4"),
+       ("sne", "pca_dim", 3.5), ("sne", "embed_dim", False), ("sne", "sigma", "1.0"),
+       ("config", "seed", 1.5), ("config", "record_every", "2"), ("config", "budget", 4000.5),
+       ("config", "init_scale", True), ("algorithm", "eta", "0.05"),
+       ("algorithm", "inner_k", False), ("algorithm", "sample_a", float("inf")),
+       pytest.param("algorithm", "eta", 10**400, id="algorithm-eta-int_beyond_float")]
 )
 
 
@@ -350,6 +359,27 @@ def test_sweep_bad_config_field_is_one_config_error_line(tmp_path, capsys, where
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_integral_float_sizes_are_accepted(tmp_path):
+    path, cfg = _write_config(tmp_path)
+    cfg["problem"]["n"] = 8.0
+    cfg["algorithms"][0]["epochs_s"] = 4.0
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("sigma", [1.5, [1.5, 1.0, 2.0, 0.5, 1.5, 1.0, 2.0, 0.5]])
+def test_sne_json_with_valid_sigma_runs(tmp_path, command, sigma):
+    json_path = tmp_path / "problem.json"
+    json_path.write_text(_sne_json_text(lambda o: {**o, "sigma": sigma}))
+    path, _ = _write_config(
+        tmp_path, problem={"kind": "sne_json", "path": str(json_path)}, budget=None,
+        algorithms=[{"variant": "scvr2", "eta": 0.005, "epochs_s": 1, "inner_k": 2}],
+    )
+    extra = ["--etas", "0.005"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *extra]) == EXIT_OK
+
+
 def _sne_json_text(mutate) -> str:
     data, _ = problems.make_cluster_data(8, clusters=2, dim=5, seed=9)
     obj = json.loads(problems.build_sne(data, sigma=1.5, embed_dim=2).to_json())
@@ -369,6 +399,12 @@ BAD_SNE_JSON = {
     "p_matrix_shape_disagrees_with_n": (lambda o: {**o, "n": 5}, "p_matrix"),
     "p_matrix_not_numeric": (lambda o: {**o, "p_matrix": [["a"] * 8] * 8}, "p_matrix"),
     "p_matrix_nan": (lambda o: {**o, "p_matrix": [[float("nan")] * 8] * 8}, "finite"),
+    "sigma_negative": (lambda o: {**o, "sigma": -3}, "sigma"),
+    "sigma_nan": (lambda o: {**o, "sigma": float("nan")}, "sigma"),
+    "sigma_string": (lambda o: {**o, "sigma": "1.5"}, "sigma"),
+    "sigma_bool": (lambda o: {**o, "sigma": True}, "sigma"),
+    "sigma_vector_with_zero": (lambda o: {**o, "sigma": [1.5] * 7 + [0.0]}, "sigma"),
+    "sigma_vector_wrong_length": (lambda o: {**o, "sigma": [1.5] * 3}, "sigma"),
 }
 
 

@@ -1,7 +1,9 @@
 """Jacobian queries taken as products dG_j(x)^T v: every problem's
 ``inner_component_vjp`` against its dense Jacobian, the one-call,
-one-charge contract of ``query_inner_jacobian`` with ``v``, and the
-product-form gradient estimator against the dense reference pair."""
+one-charge contract of ``query_inner_jacobian`` with ``v`` and with
+``compact=True``, the mean-Jacobian operator against the per-component
+dense sum, and the product-form gradient estimator against the dense
+reference pair."""
 
 import inspect
 import math
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scvr import core, problems
+from scvr import core, optimizers, problems
 from scvr.core import EvaluationError, QueryLedger, SmoothnessConstants
 from scvr.estimators import (
     estimate_inner,
@@ -84,6 +86,73 @@ def test_vjp_matches_dense_jacobian_product(cls, seed, scale, data):
     assert problem.inner_component_vjp(j, x, v).tobytes() == got.tobytes()  # pure
 
 
+# -- the mean Jacobian as an operator ---------------------------------------------
+
+
+@given(
+    cls=st.sampled_from(sorted(BUILDERS, key=lambda c: c.__name__)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_mean_jacobian_matches_per_component_dense_sum(cls, seed, scale, data):
+    problem = BUILDERS[cls](seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=problem.dim_x) * scale
+    v = data.draw(hnp.arrays(np.float64, problem.dim_w, elements=st.floats(-1e3, 1e3)))
+    ledger = QueryLedger()
+    op = core.mean_jacobian(problem, x, ledger)
+    assert ledger == QueryLedger(inner_jacobian_queries=problem.m_inner)
+    dense = core.inner_jacobian_full(problem, x, QueryLedger())
+
+    before = v.copy()
+    got = op.rmatvec(v)
+    assert got.shape == (problem.dim_x,)
+    assert np.all(np.abs(got - dense.T @ v) <= 1e-12 * _product_bound(dense, v))
+    assert v.tobytes() == before.tobytes()  # the vector is not modified
+    assert op.rmatvec(v).tobytes() == got.tobytes()
+    # zero in, exactly zero out: the snapshot identities rest on it
+    assert np.array_equal(op.rmatvec(np.zeros(problem.dim_w)), np.zeros(problem.dim_x))
+    # the dense form is the value the per-component sum computes
+    assert np.array_equal(op.dense(), dense)
+
+
+def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
+    problem = _random_sne(6, 2, 4)
+    x = np.random.default_rng(4).normal(size=problem.dim_x) * 0.5
+    want_snapshot = take_snapshot(problem, x, QueryLedger())
+    want_grad = core.full_gradient(problem, x, QueryLedger())
+
+    def refuse(self, j, x):
+        raise AssertionError("dense Jacobian formed on a full evaluation")
+
+    monkeypatch.setattr(problems.SneProblem, "inner_component_jacobian", refuse)
+    snap = take_snapshot(problem, x, QueryLedger())
+    assert snap.grad_tilde.tobytes() == want_snapshot.grad_tilde.tobytes()
+    assert core.full_gradient(problem, x, QueryLedger()).tobytes() == want_grad.tobytes()
+    for variant in ("svrg", "gd", "scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "sgd"):
+        cfg = optimizers.OptimizerConfig(
+            eta=0.01, epochs_s=2, inner_k=2, variant=variant, sample_a=2, sample_b=2,
+            batch_b=2, seed=1, record_every=1,
+        )
+        result = optimizers.run(problem, cfg, x0=x)
+        assert result.ledger.total == optimizers.expected_total_queries(
+            variant, 2, 2, problem.m_inner, problem.n_outer, 2, 2, 2
+        )
+
+
+def test_sne_snapshot_anchor_returns_grad_tilde_bitwise():
+    problem = _random_sne(9, 3, 11)
+    rng = np.random.default_rng(11)
+    snap = take_snapshot(problem, rng.normal(size=problem.dim_x) * 0.4, QueryLedger())
+    g_hat = estimate_inner(problem, snap.x_tilde, snap, [2, 2, 7], QueryLedger())
+    est = grad_minibatch_v1_vjp(
+        problem, snap.x_tilde, snap, g_hat, [1, 5, 9, 5], [3, 8], QueryLedger()
+    )
+    assert est.direction.tobytes() == snap.grad_tilde.tobytes()
+
+
 # -- query_inner_jacobian with a vector -------------------------------------------
 
 
@@ -143,6 +212,33 @@ def test_query_with_vector_checks_the_index():
     assert ledger.total == 0
 
 
+class CompactOnlyProblem(ProductOnlyProblem):
+    """Returns a prepared compact part; forming a dense Jacobian fails."""
+
+    def compact_jacobian(self, j, x):
+        return self.product
+
+
+def test_compact_query_returns_the_part_for_one_charge():
+    part = np.array([[1.5, -2.0]])
+    ledger = QueryLedger()
+    out = core.query_inner_jacobian(CompactOnlyProblem(part), 2, np.zeros(2), ledger,
+                                    compact=True)
+    assert out is part
+    assert ledger == QueryLedger(inner_jacobian_queries=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compact_query_rejects_non_finite_part_and_checks_the_index(bad):
+    ledger = QueryLedger()
+    problem = CompactOnlyProblem(np.array([[1.0, bad]]))
+    with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
+        core.query_inner_jacobian(problem, 3, np.zeros(2), ledger, compact=True)
+    with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
+        core.query_inner_jacobian(problem, 4, np.zeros(2), ledger, compact=True)
+    assert ledger.total == 1
+
+
 # -- the product-form gradient estimator ------------------------------------------
 
 
@@ -170,7 +266,7 @@ def _scale(problem, snap, g_hat, jac_hat, outer):
     u_x = sum(problem.outer_component_gradient(i, g_hat) for i in outer) / len(outer)
     u_t = sum(problem.outer_component_gradient(i, snap.g_tilde) for i in outer) / len(outer)
     return (
-        _product_bound(jac_hat, u_x) + _product_bound(snap.jac_tilde, u_t)
+        _product_bound(jac_hat, u_x) + _product_bound(snap.jac_tilde.dense(), u_t)
         + np.abs(snap.grad_tilde)
     )
 

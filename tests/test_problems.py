@@ -3,6 +3,8 @@ embedding problem's structure, preprocessing, and CSV ingestion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scvr import core, problems, verification
 from scvr.core import QueryLedger
@@ -212,6 +214,85 @@ def test_sne_degenerate_row_error():
     data = Dataset(np.array([[0.0, 0.0], [1e300, 1e300]]))
     with pytest.raises(ProblemConstructionError):
         build_sne(data, sigma=1e-3)
+
+
+def _reference_similarities(values, sigma):
+    """The per-row loop ``build_sne`` used before it computed row blocks:
+    the reference its similarities must equal bit for bit."""
+    n = values.shape[0]
+    sig = np.asarray(sigma, dtype=float)
+    if sig.ndim == 0:
+        sig = np.full(n, float(sig))
+    with np.errstate(over="ignore"):
+        sq = ((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2)
+    p = np.zeros((n, n))
+    for t in range(n):
+        logits = -sq[t] / (2.0 * sig[t] ** 2)
+        logits[t] = -np.inf
+        top = logits.max()
+        if not np.isfinite(top):
+            raise ProblemConstructionError(f"similarity row {t} degenerates to zero")
+        row = np.exp(logits - top)
+        row[t] = 0.0
+        denom = row.sum()
+        if not np.isfinite(denom) or denom <= 0.0:
+            raise ProblemConstructionError(f"similarity row {t} degenerates to zero")
+        p[t] = row / denom
+    return p
+
+
+def _row_bytes(values):
+    return values.shape[0] * values.shape[1] * 8
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.integers(1, 12),
+    spread=st.sampled_from([1e-3, 1.0, 30.0]),
+    per_row_sigma=st.booleans(),
+    rows_per_block=st.sampled_from([1, 2, 3, 7, None]),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_sne_equals_per_row_loop_bitwise(
+    seed, n, dim, spread, per_row_sigma, rows_per_block
+):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, dim)) * spread
+    sigma = rng.uniform(0.05, 3.0, size=n) if per_row_sigma else float(rng.uniform(0.05, 3.0))
+    block = problems.SIMILARITY_BLOCK_BYTES
+    if rows_per_block is not None:
+        block = rows_per_block * _row_bytes(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "SIMILARITY_BLOCK_BYTES", block)
+        got = build_sne(values, sigma).p_matrix
+    assert got.tobytes() == _reference_similarities(values, sigma).tobytes()
+
+
+def test_build_sne_multi_block_equals_per_row_loop_bitwise():
+    values, _ = make_cluster_data(300, clusters=3, dim=30, seed=5)
+    values = values.values
+    assert problems.SIMILARITY_BLOCK_BYTES < 300 * _row_bytes(values) / 4  # >= 4 blocks
+    sigma = np.random.default_rng(2).uniform(0.2, 2.0, size=300)
+    for sig in (0.35, sigma):
+        assert (
+            build_sne(values, sig).p_matrix.tobytes()
+            == _reference_similarities(values, sig).tobytes()
+        )
+
+
+@pytest.mark.parametrize("far_row", [0, 5, 13, 19])
+@pytest.mark.parametrize("rows_per_block", [1, 4, 6, 20])
+def test_build_sne_degenerate_row_names_the_same_row(monkeypatch, far_row, rows_per_block):
+    # one point so far out that every distance from it overflows
+    values = np.random.default_rng(far_row).normal(size=(20, 3))
+    values[far_row] = 1e300
+    monkeypatch.setattr(problems, "SIMILARITY_BLOCK_BYTES", rows_per_block * _row_bytes(values))
+    with pytest.raises(ProblemConstructionError) as want:
+        _reference_similarities(values, 1.0)
+    with pytest.raises(ProblemConstructionError) as got:
+        build_sne(values, 1.0)
+    assert str(got.value) == str(want.value) == f"similarity row {far_row} degenerates to zero"
 
 
 def test_sne_json_round_trip(sne_small):

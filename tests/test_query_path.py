@@ -247,9 +247,9 @@ def _count_query_calls(monkeypatch):
     for kind in KINDS:
         fn = getattr(core, f"query_{kind}")
 
-        def counting(*args, _fn=fn, _kind=kind):
+        def counting(*args, _fn=fn, _kind=kind, **kwargs):
             counts["instr" if depth[0] else "alg"][_kind] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         replace_everywhere(fn, counting)
     record = optimizers._record

@@ -126,7 +126,7 @@ def test_exhaustive_grad_mean_scvr1_identity(curved_inner):
 def test_exhaustive_grad_mean_scvr2_snapshot_case(curved_inner):
     snap = take_snapshot(curved_inner, np.array([0.1, 0.1, 0.1]), QueryLedger())
     mean = exhaustive_grad_mean(
-        curved_inner, snap.x_tilde, snap, snap.g_tilde, "scvr2", jac_hat=snap.jac_tilde
+        curved_inner, snap.x_tilde, snap, snap.g_tilde, "scvr2", jac_hat=snap.jac_tilde.dense()
     )
     assert np.abs(mean - snap.grad_tilde).max() <= 1e-14
 
