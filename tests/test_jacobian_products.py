@@ -109,7 +109,10 @@ def test_mean_jacobian_matches_per_component_dense_sum(cls, seed, scale, data):
     before = v.copy()
     got = op.rmatvec(v)
     assert got.shape == (problem.dim_x,)
-    assert np.all(np.abs(got - dense.T @ v) <= 1e-12 * _product_bound(dense, v))
+    # products that underflow to subnormals keep only an absolute accuracy
+    # of half a subnormal step each, which no relative bound covers
+    underflow = 2 * problem.dim_w * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - dense.T @ v) <= 1e-12 * _product_bound(dense, v) + underflow)
     assert v.tobytes() == before.tobytes()  # the vector is not modified
     assert op.rmatvec(v).tobytes() == got.tobytes()
     # zero in, exactly zero out: the snapshot identities rest on it
@@ -142,18 +145,7 @@ def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
         )
 
 
-def test_sne_snapshot_anchor_returns_grad_tilde_bitwise():
-    problem = _random_sne(9, 3, 11)
-    rng = np.random.default_rng(11)
-    snap = take_snapshot(problem, rng.normal(size=problem.dim_x) * 0.4, QueryLedger())
-    g_hat = estimate_inner(problem, snap.x_tilde, snap, [2, 2, 7], QueryLedger())
-    est = grad_minibatch_v1_vjp(
-        problem, snap.x_tilde, snap, g_hat, [1, 5, 9, 5], [3, 8], QueryLedger()
-    )
-    assert est.direction.tobytes() == snap.grad_tilde.tobytes()
-
-
-# -- query_inner_jacobian with a vector -------------------------------------------
+# -- query_inner_jacobian with a vector or compact=True --------------------------
 
 
 class ProductOnlyProblem(core.CompositionProblem):
@@ -246,6 +238,7 @@ ESTIMATOR_PROBLEMS = {
     "nonconvex": lambda: problems.make_nonconvex_synthetic(n=5, m=4, dim_x=3, dim_w=4, seed=2),
     "curved": lambda: problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=5),
     "sne": lambda: _random_sne(5, 2, 8),
+    "sne_d3": lambda: _random_sne(9, 3, 11),
 }
 
 
