@@ -56,12 +56,6 @@ class EpochSnapshot:
     grad_tilde: np.ndarray
 
 
-@dataclass
-class GradientEstimate:
-    direction: np.ndarray
-    queries_charged: int
-
-
 def take_snapshot(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> EpochSnapshot:
@@ -129,7 +123,7 @@ def grad_scvr1(
     i: int,
     j: int,
     ledger: QueryLedger,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Single-pair composite-gradient estimate using an estimated inner value.
 
         (dG_j(x))^T grad F_i(g_hat)
@@ -144,8 +138,7 @@ def grad_scvr1(
     outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
     fresh = query_inner_jacobian(problem, j, x, ledger, outer_x)
     anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger, outer_t)
-    direction = fresh - anchor + snap.grad_tilde
-    return GradientEstimate(direction=direction, queries_charged=4)
+    return fresh - anchor + snap.grad_tilde
 
 
 def grad_scvr2(
@@ -155,7 +148,7 @@ def grad_scvr2(
     jac_hat: np.ndarray,
     i: int,
     ledger: QueryLedger,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Composite-gradient estimate using estimated inner value and Jacobian.
 
         (jac_hat)^T grad F_i(g_hat)
@@ -164,13 +157,10 @@ def grad_scvr2(
     Costs 2 queries (two outer gradients); the Jacobian estimate was paid
     for when jac_hat was formed.  The correction is anchored at the exact
     snapshot Jacobian, matching the variant whose convergence recursion
-    this package implements.
+    this package implements: :func:`grad_minibatch_v1` with the outer
+    batch [i].
     """
-    outer_x = query_outer_gradient(problem, i, g_hat, ledger)
-    outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-    jac_tilde = snap.jac_tilde.dense()
-    direction = jac_hat.T @ outer_x - jac_tilde.T @ outer_t + snap.grad_tilde
-    return GradientEstimate(direction=direction, queries_charged=2)
+    return grad_minibatch_v1(problem, snap, g_hat, jac_hat, [i], ledger)
 
 
 def grad_minibatch_v1(
@@ -180,13 +170,13 @@ def grad_minibatch_v1(
     jac_hat: np.ndarray,
     outer_batch: Sequence[int],
     ledger: QueryLedger,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Outer-mini-batched version of :func:`grad_scvr2`.
 
         (1/b) sum_{i in batch} [ (jac_hat)^T grad F_i(g_hat)
             - (dG(x_tilde))^T grad F_i(G(x_tilde)) ]  +  grad_tilde
 
-    Costs 2b queries.  A singleton batch reproduces grad_scvr2 exactly.
+    Costs 2b queries.
     """
     _require_batch(outer_batch)
     jac_tilde = snap.jac_tilde.dense()
@@ -195,8 +185,7 @@ def grad_minibatch_v1(
         outer_x = query_outer_gradient(problem, i, g_hat, ledger)
         outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
         acc += jac_hat.T @ outer_x - jac_tilde.T @ outer_t
-    direction = acc / len(outer_batch) + snap.grad_tilde
-    return GradientEstimate(direction=direction, queries_charged=2 * len(outer_batch))
+    return acc / len(outer_batch) + snap.grad_tilde
 
 
 def _mean_outer_gradients(
@@ -244,7 +233,7 @@ def grad_minibatch_v1_vjp(
     jac_batch: Sequence[int],
     outer_batch: Sequence[int],
     ledger: QueryLedger,
-) -> GradientEstimate:
+) -> np.ndarray:
     """:func:`grad_minibatch_v1` with the Jacobian estimate of
     :func:`estimate_inner_jacobian` over ``jac_batch`` taken as products.
 
@@ -261,11 +250,7 @@ def grad_minibatch_v1_vjp(
     _require_batch(jac_batch)
     u_x, u_t = _mean_outer_gradients(problem, snap, g_hat, outer_batch, ledger)
     correction = _mean_product_difference(problem, x, snap, jac_batch, u_x, u_x, ledger)
-    direction = snap.jac_tilde.rmatvec(u_x - u_t) + correction + snap.grad_tilde
-    return GradientEstimate(
-        direction=direction,
-        queries_charged=2 * len(jac_batch) + 2 * len(outer_batch),
-    )
+    return snap.jac_tilde.rmatvec(u_x - u_t) + correction + snap.grad_tilde
 
 
 def grad_minibatch_v2(
@@ -276,7 +261,7 @@ def grad_minibatch_v2(
     jac_batch: Sequence[int],
     outer_batch: Sequence[int],
     ledger: QueryLedger,
-) -> GradientEstimate:
+) -> np.ndarray:
     """Mini-batch variant anchoring both terms at a batch-mean Jacobian.
 
     The same Jacobian batch is averaged at x and at the snapshot,
@@ -295,8 +280,4 @@ def grad_minibatch_v2(
     _require_batch(jac_batch)
     u_x, u_t = _mean_outer_gradients(problem, snap, g_hat, outer_batch, ledger)
     correction = _mean_product_difference(problem, x, snap, jac_batch, u_x, u_t, ledger)
-    direction = correction + snap.grad_tilde
-    return GradientEstimate(
-        direction=direction,
-        queries_charged=2 * len(jac_batch) + 2 * len(outer_batch),
-    )
+    return correction + snap.grad_tilde

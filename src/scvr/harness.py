@@ -15,9 +15,9 @@ sweep         re-run one config over a step-size grid, keep the best
 Relative output paths resolve against $SCVR_OUT_DIR when it is set.
 Every error path prints one machine-parseable line ``error <CODE>:
 <message>`` to stderr and exits nonzero.  For ``run`` and ``sweep`` a
-bad config field is ``E_CONFIG`` (exit 2), and a file the config names
-that is missing, unreadable or cannot form a problem is ``E_DATA``
-(exit 3).
+bad config field or unallocatable sizes are ``E_CONFIG`` (exit 2), and
+a file the config names that is missing, unreadable or cannot form a
+problem is ``E_DATA`` (exit 3).
 
 Trace CSVs carry a wall_ms column.  Timing is off by default (the
 column reads 0) so that identical config and seed reproduce the file
@@ -190,12 +190,6 @@ def _algo_config(entry: dict, default_seed: int, default_record: int) -> Optimiz
         raise ConfigError(f"algorithms[{variant}]: {exc}") from exc
 
 
-def _min_startup_cost(variant: str, m: int, n: int) -> int:
-    if variant == "sgd":
-        return m + 2
-    return 2 * m + n  # gd's full gradient, or the epoch snapshot
-
-
 def load_experiment(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -232,7 +226,7 @@ def prepare_experiment(cfg: dict):
     if budget is not None:
         budget = _field(cfg, "budget", None, int, "config")
         for oc in configs:
-            need = _min_startup_cost(oc.variant, problem.m_inner, problem.n_outer)
+            need = optimizers.startup_query_cost(oc, problem.m_inner, problem.n_outer)
             if budget <= need:
                 raise ConfigError(
                     f"budget {budget} does not cover the startup cost "
@@ -257,6 +251,10 @@ def _prepare_or_fail(cfg: dict):
         _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
     except (problems.MatrixParseError, problems.ProblemConstructionError, OSError) as exc:
         _fail(EXIT_DATA, "E_DATA", str(exc))
+    except (MemoryError, ValueError) as exc:
+        # NumPy refuses sizes it cannot allocate (MemoryError) or that
+        # exceed its dimension limit (a plain ValueError)
+        _fail(EXIT_CONFIG, "E_CONFIG", f"problem sizes cannot be allocated: {exc}")
 
 
 def initial_point(problem, seed: int, scale: float) -> np.ndarray:
@@ -351,15 +349,9 @@ def check_params_report(n: int, m: int, constants: SmoothnessConstants, b: int) 
     report["alpha"] = {"scvr": qc.scvr_alpha, "svrg": qc.svrg_alpha}
     report["recommendation"] = qc.better
     report["suggestions"] = {}
-    for algo, recursion in (
-        ("scvr1", theory.recursion_scvr1),
-        ("scvr2", theory.recursion_scvr2),
-        ("minibatch", theory.recursion_minibatch),
-    ):
-        params = theory.suggest_parameters(
-            n, m, constants, algorithm=algo, b=(b if algo == "minibatch" else 1)
-        )
-        diag = recursion(params, constants)
+    for algo in theory.RECURSION_ALGORITHMS:
+        params = theory.suggest_parameters(n, m, constants, algorithm=algo, b=b)
+        diag = theory.recursion(algo, params, constants)
         report["suggestions"][algo] = {
             **dataclasses.asdict(params),
             "c0h": diag.c0h,
@@ -412,11 +404,10 @@ def _check_snapshot_identities() -> tuple[bool, str]:
         for est in (
             estimators.grad_scvr1(problem, x, snap, g_hat, i, j, ledger),
             estimators.grad_scvr2(problem, snap, g_hat, jac_hat, i, ledger),
-            estimators.grad_minibatch_v1(problem, snap, g_hat, jac_hat, [i], ledger),
             estimators.grad_minibatch_v2(problem, x, snap, g_hat, batch, [i], ledger),
             estimators.grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch, [i], ledger),
         ):
-            worst = max(worst, float(np.abs(est.direction - snap.grad_tilde).max()))
+            worst = max(worst, float(np.abs(est - snap.grad_tilde).max()))
     return worst <= 1e-12, f"max snapshot deviation {worst:.2e}"
 
 
@@ -477,14 +468,9 @@ def _check_grad_conditional_mean() -> tuple[bool, str]:
 
 def _check_query_accounting() -> tuple[bool, str]:
     problem = problems.make_affine_quadratic(n=5, m=4, dim_x=2, dim_w=2, seed=2)
-    grid = [
-        ("scvr1", 2, 3, 2, 1, 1),
-        ("scvr2", 1, 2, 1, 1, 1),
-        ("minibatch_v1", 1, 1, 1, 1, 1),
-        ("minibatch_v2", 2, 2, 2, 3, 2),
-        ("svrg", 2, 2, 1, 1, 1),
-    ]
-    for variant, s, k, a, bj, bo in grid:
+    shapes = [(2, 3, 2, 1, 1), (1, 2, 1, 1, 1), (1, 1, 1, 1, 1), (2, 2, 2, 3, 2)]
+    for index, variant in enumerate(optimizers.VARIANTS):
+        s, k, a, bj, bo = shapes[index % len(shapes)]
         cfg = OptimizerConfig(
             eta=0.0, epochs_s=s, inner_k=k, variant=variant,
             sample_a=a, sample_b=bj, batch_b=bo, seed=1, record_every=10_000,
@@ -528,13 +514,9 @@ def _check_second_moment_bounds() -> tuple[bool, str]:
 def _check_recursion_closed_forms() -> tuple[bool, str]:
     constants = SmoothnessConstants(b_g=1.0, l_g=1.0, b_f=1.0, l_f_outer=1.0, l_f=1.0)
     worst = 0.0
-    for algo, recursion in (
-        ("scvr1", theory.recursion_scvr1),
-        ("scvr2", theory.recursion_scvr2),
-        ("minibatch", theory.recursion_minibatch),
-    ):
+    for algo in theory.RECURSION_ALGORITHMS:
         params = theory.suggest_parameters(1000, 1000, constants, algorithm=algo, b=2)
-        diag = recursion(params, constants)
+        diag = theory.recursion(algo, params, constants)
         rel = abs(diag.c_sequence[0] - diag.c0_closed) / max(abs(diag.c0_closed), 1e-300)
         worst = max(worst, rel)
     return worst <= 1e-10, f"max closed-form mismatch {worst:.2e}"

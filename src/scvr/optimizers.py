@@ -2,15 +2,12 @@
 
 All variants share one driver: S epochs, each opening with a snapshot
 (2m+n queries) where the variant uses one, followed by K inner steps
-x <- x - eta * direction.  Per-step query costs are exact integers:
-
-    scvr1          2A + 4
-    scvr2          2A + 2B + 2
-    minibatch_v1   2A + 2B + 2b
-    minibatch_v2   2A + 2B + 2b
-    svrg           2m + 2
-    sgd            m + 2        (no snapshot)
-    gd             2m + n       (no snapshot, deterministic)
+x <- x - eta * direction.  The table :data:`VARIANTS` describes each
+variant once: whether it takes the snapshot, its exact per-step query
+cost as a function of (m, n, A, B, b), and its step.  The driver, the
+per-step and closed-form costs and the startup cost a budget must
+cover all read it.  ``scvr2`` is the ``minibatch_v1`` step with the
+outer batch b fixed at 1.
 
 Trace instrumentation (gradient norm, objective) runs on a shadow
 ledger and never touches the algorithmic count.  The returned iterate
@@ -30,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,9 +45,111 @@ from scvr.core import (
     sample_indices,
 )
 
-VARIANTS = ("scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "gd", "sgd", "svrg")
-
 DIVERGENCE_LIMIT = 1e12
+
+
+def _step_scvr1(problem, x, snap, stream, sizes, ledger):
+    batch = sample_indices(stream, problem.m_inner, sizes[0])
+    g_hat = estimators.estimate_inner(problem, x, snap, batch, ledger)
+    i = stream.randrange(problem.n_outer) + 1
+    j = stream.randrange(problem.m_inner) + 1
+    return estimators.grad_scvr1(problem, x, snap, g_hat, i, j, ledger)
+
+
+def _mini_batch_step(estimator: str):
+    """The mini-batch step with gradient estimator ``estimators.<estimator>``."""
+
+    def step(problem, x, snap, stream, sizes, ledger):
+        a, b_jac, b_out = sizes
+        batch_a = sample_indices(stream, problem.m_inner, a)
+        batch_b = sample_indices(stream, problem.m_inner, b_jac)
+        g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
+        outer = sample_indices(stream, problem.n_outer, b_out)
+        grad = getattr(estimators, estimator)
+        return grad(problem, x, snap, g_hat, batch_b, outer, ledger)
+
+    return step
+
+
+def _step_svrg(problem, x, snap, stream, sizes, ledger):
+    value = inner_full(problem, x, ledger)
+    jac = mean_jacobian(problem, x, ledger)
+    i = stream.randrange(problem.n_outer) + 1
+    outer_x = query_outer_gradient(problem, i, value, ledger)
+    outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
+    return jac.rmatvec(outer_x) - snap.jac_tilde.rmatvec(outer_t) + snap.grad_tilde
+
+
+def _step_sgd(problem, x, snap, stream, sizes, ledger):
+    value = inner_full(problem, x, ledger)
+    i = stream.randrange(problem.n_outer) + 1
+    j = stream.randrange(problem.m_inner) + 1
+    outer_i = query_outer_gradient(problem, i, value, ledger)
+    return query_inner_jacobian(problem, j, x, ledger, outer_i)
+
+
+def _step_gd(problem, x, snap, stream, sizes, ledger):
+    return full_gradient(problem, x, ledger)
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of :data:`VARIANTS`.
+
+    snapshot     whether each epoch opens with the 2m + n query snapshot
+    step_cost    exact queries of one step, as a function of (m, n, A, B, b)
+    step         ``step(problem, x, snap, stream, (A, B, b), ledger)`` returns
+                 the direction; it looks estimators and ``core`` helpers up
+                 at call time, so wrappers installed on them see every call
+    outer_batch  b used whatever the configured ``batch_b`` (None: that one)
+    """
+
+    snapshot: bool
+    step_cost: Callable[[int, int, int, int, int], int]
+    step: Callable[..., np.ndarray]
+    outer_batch: int | None = None
+
+
+def _mini_batch_cost(m, n, a, b_jac, b_out):
+    return 2 * a + 2 * b_jac + 2 * b_out
+
+
+_step_minibatch_v1 = _mini_batch_step("grad_minibatch_v1_vjp")
+VARIANTS: dict[str, Variant] = {
+    "scvr1": Variant(True, lambda m, n, a, b_jac, b_out: 2 * a + 4, _step_scvr1),
+    "scvr2": Variant(True, _mini_batch_cost, _step_minibatch_v1, outer_batch=1),
+    "minibatch_v1": Variant(True, _mini_batch_cost, _step_minibatch_v1),
+    "minibatch_v2": Variant(True, _mini_batch_cost, _mini_batch_step("grad_minibatch_v2")),
+    "gd": Variant(False, lambda m, n, a, b_jac, b_out: 2 * m + n, _step_gd),
+    "sgd": Variant(False, lambda m, n, a, b_jac, b_out: m + 2, _step_sgd),
+    "svrg": Variant(True, lambda m, n, a, b_jac, b_out: 2 * m + 2, _step_svrg),
+}
+
+
+def _snapshot_cost(variant: str, m: int, n: int) -> int:
+    return 2 * m + n if VARIANTS[variant].snapshot else 0
+
+
+def step_query_cost(variant: str, m: int, n: int, a: int, b_jac: int, b_out: int) -> int:
+    """Queries one inner step spends, excluding the epoch snapshot."""
+    spec = VARIANTS[variant]
+    return spec.step_cost(m, n, a, b_jac, spec.outer_batch or b_out)
+
+
+def expected_total_queries(
+    variant: str, s: int, k: int, m: int, n: int, a: int = 1, b_jac: int = 1, b_out: int = 1
+) -> int:
+    """Closed-form ledger total for a full (un-budgeted) run."""
+    per_step = step_query_cost(variant, m, n, a, b_jac, b_out)
+    return s * (_snapshot_cost(variant, m, n) + k * per_step)
+
+
+def startup_query_cost(config: OptimizerConfig, m: int, n: int) -> int:
+    """Queries spent before the first step can move x: the epoch snapshot,
+    or the first step of a variant that takes none."""
+    return _snapshot_cost(config.variant, m, n) or step_query_cost(
+        config.variant, m, n, config.sample_a, config.sample_b, config.batch_b
+    )
 
 
 @dataclass
@@ -161,45 +261,24 @@ def _guard(
         )
 
 
-def step_query_cost(variant: str, m: int, n: int, a: int, b_jac: int, b_out: int) -> int:
-    """Queries one inner step spends, excluding the epoch snapshot."""
-    if variant == "scvr1":
-        return 2 * a + 4
-    if variant == "scvr2":
-        return 2 * a + 2 * b_jac + 2
-    if variant in ("minibatch_v1", "minibatch_v2"):
-        return 2 * a + 2 * b_jac + 2 * b_out
-    if variant == "svrg":
-        return 2 * m + 2
-    if variant == "sgd":
-        return m + 2
-    if variant == "gd":
-        return 2 * m + n
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def run(
     problem: CompositionProblem,
     config: OptimizerConfig,
     x0: np.ndarray | None = None,
     budget: int | None = None,
 ) -> OptResult:
-    """Execute the configured variant; see module docstring for costs.
+    """Execute the configured variant; its costs are in :data:`VARIANTS`.
 
     ``budget`` is a hard cap on the algorithmic ledger: the run stops
     cleanly (with a final record) before any snapshot or inner step that
     would push the total past it.
     """
-    m = problem.m_inner
-    n = problem.n_outer
     s_total, k_total = config.epochs_s, config.inner_k
     eta = config.eta
-    variant = config.variant
-    uses_snapshot = variant not in ("sgd", "gd")
-    per_step = step_query_cost(
-        variant, m, n, config.sample_a, config.sample_b, config.batch_b
-    )
-    snapshot_cost = 2 * m + n if uses_snapshot else 0
+    spec = VARIANTS[config.variant]
+    sizes = (config.sample_a, config.sample_b, spec.outer_batch or config.batch_b)
+    per_step = spec.step_cost(problem.m_inner, problem.n_outer, *sizes)
+    snapshot_cost = _snapshot_cost(config.variant, problem.m_inner, problem.n_outer)
 
     x = np.zeros(problem.dim_x) if x0 is None else np.array(x0, dtype=float, copy=True)
     if x.shape != (problem.dim_x,):
@@ -220,7 +299,7 @@ def run(
         if budget is not None and ledger.total + snapshot_cost + per_step > budget:
             stopped = True
             break
-        snap = estimators.take_snapshot(problem, x, ledger) if uses_snapshot else None
+        snap = estimators.take_snapshot(problem, x, ledger) if spec.snapshot else None
         for k in range(k_total):
             if budget is not None and ledger.total + per_step > budget:
                 stopped = True
@@ -230,58 +309,7 @@ def run(
             if step_index % config.record_every == 0:
                 _record(trace, problem, x, s, k, ledger.total, shadow)
 
-            if variant == "scvr1":
-                batch = sample_indices(stream, m, config.sample_a)
-                g_hat = estimators.estimate_inner(problem, x, snap, batch, ledger)
-                i = stream.randrange(n) + 1
-                j = stream.randrange(m) + 1
-                est = estimators.grad_scvr1(problem, x, snap, g_hat, i, j, ledger)
-                direction = est.direction
-            elif variant == "scvr2":
-                batch_a = sample_indices(stream, m, config.sample_a)
-                batch_b = sample_indices(stream, m, config.sample_b)
-                g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
-                i = stream.randrange(n) + 1
-                est = estimators.grad_minibatch_v1_vjp(
-                    problem, x, snap, g_hat, batch_b, [i], ledger
-                )
-                direction = est.direction
-            elif variant == "minibatch_v1":
-                batch_a = sample_indices(stream, m, config.sample_a)
-                batch_b = sample_indices(stream, m, config.sample_b)
-                g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
-                outer = sample_indices(stream, n, config.batch_b)
-                est = estimators.grad_minibatch_v1_vjp(
-                    problem, x, snap, g_hat, batch_b, outer, ledger
-                )
-                direction = est.direction
-            elif variant == "minibatch_v2":
-                batch_a = sample_indices(stream, m, config.sample_a)
-                batch_b = sample_indices(stream, m, config.sample_b)
-                g_hat = estimators.estimate_inner(problem, x, snap, batch_a, ledger)
-                outer = sample_indices(stream, n, config.batch_b)
-                est = estimators.grad_minibatch_v2(
-                    problem, x, snap, g_hat, batch_b, outer, ledger
-                )
-                direction = est.direction
-            elif variant == "svrg":
-                value = inner_full(problem, x, ledger)
-                jac = mean_jacobian(problem, x, ledger)
-                i = stream.randrange(n) + 1
-                outer_x = query_outer_gradient(problem, i, value, ledger)
-                outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-                direction = (
-                    jac.rmatvec(outer_x) - snap.jac_tilde.rmatvec(outer_t) + snap.grad_tilde
-                )
-            elif variant == "sgd":
-                value = inner_full(problem, x, ledger)
-                i = stream.randrange(n) + 1
-                j = stream.randrange(m) + 1
-                outer_i = query_outer_gradient(problem, i, value, ledger)
-                direction = query_inner_jacobian(problem, j, x, ledger, outer_i)
-            else:  # gd
-                direction = full_gradient(problem, x, ledger)
-
+            direction = spec.step(problem, x, snap, stream, sizes, ledger)
             x = x - eta * direction
             _guard(x, trace, ledger, s, k)
             step_index += 1
@@ -300,64 +328,3 @@ def run(
         out_epoch=s_star,
         out_inner=k_star,
     )
-
-
-def expected_total_queries(
-    variant: str, s: int, k: int, m: int, n: int, a: int = 1, b_jac: int = 1, b_out: int = 1
-) -> int:
-    """Closed-form ledger total for a full (un-budgeted) run."""
-    if variant == "scvr1":
-        return s * (2 * m + n + k * (2 * a + 4))
-    if variant == "scvr2":
-        return s * (2 * m + n + k * (2 * a + 2 * b_jac + 2))
-    if variant in ("minibatch_v1", "minibatch_v2"):
-        return s * (2 * m + n + k * (2 * a + 2 * b_jac + 2 * b_out))
-    if variant == "svrg":
-        return s * (2 * m + n + k * (2 * m + 2))
-    if variant == "sgd":
-        return s * k * (m + 2)
-    if variant == "gd":
-        return s * k * (2 * m + n)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def run_scvr1(problem, config, x0=None, budget=None) -> OptResult:
-    """Inner-value estimation only; single (i, j) pair per step."""
-    if config.variant != "scvr1":
-        raise ValueError("config.variant must be 'scvr1'")
-    return run(problem, config, x0, budget)
-
-
-def run_scvr2(problem, config, x0=None, budget=None) -> OptResult:
-    """Inner value and Jacobian both estimated; single i per step."""
-    if config.variant != "scvr2":
-        raise ValueError("config.variant must be 'scvr2'")
-    return run(problem, config, x0, budget)
-
-
-def run_minibatch(problem, config, x0=None, budget=None) -> OptResult:
-    """Outer mini-batch over i; either Jacobian anchoring variant."""
-    if config.variant not in ("minibatch_v1", "minibatch_v2"):
-        raise ValueError("config.variant must be a minibatch variant")
-    return run(problem, config, x0, budget)
-
-
-def run_svrg(problem, config, x0=None, budget=None) -> OptResult:
-    """Classic variance reduction with the inner map computed in full."""
-    if config.variant != "svrg":
-        raise ValueError("config.variant must be 'svrg'")
-    return run(problem, config, x0, budget)
-
-
-def run_sgd(problem, config, x0=None, budget=None) -> OptResult:
-    """Plain stochastic gradient with full inner value per step."""
-    if config.variant != "sgd":
-        raise ValueError("config.variant must be 'sgd'")
-    return run(problem, config, x0, budget)
-
-
-def run_gd(problem, config, x0=None, budget=None) -> OptResult:
-    """Deterministic full-gradient descent."""
-    if config.variant != "gd":
-        raise ValueError("config.variant must be 'gd'")
-    return run(problem, config, x0, budget)

@@ -74,28 +74,26 @@ class RecursionDiagnostics:
 
 
 def _second_moment_coef(
-    kind: str, constants: SmoothnessConstants, a: int, b_jac: int, b_out: int
+    constants: SmoothnessConstants, a: int, b_jac: int, b_out: int | None
 ) -> float:
-    """Coefficient of eta^2 terms in the recursion (variance pressure)."""
+    """Coefficient of eta^2 terms (variance pressure); b_out None: scvr1."""
     bg4lf2 = constants.b_g**4 * constants.l_f_outer**2
-    if kind == "scvr1":
+    if b_out is None:
         return 2.0 * constants.l_f**2 + bg4lf2 / a
-    if kind in ("scvr2", "minibatch"):
-        base = (
-            bg4lf2 / a
-            + constants.b_f**2 * constants.l_g**2 / b_jac
-            + b_out * constants.l_f**2
-        )
-        return base / b_out
-    raise ValueError(f"unknown recursion kind {kind!r}")
+    base = (
+        bg4lf2 / a
+        + constants.b_f**2 * constants.l_g**2 / b_jac
+        + b_out * constants.l_f**2
+    )
+    return base / b_out
 
 
 def _ratio_offset(
-    kind: str, params: TheoryParams, constants: SmoothnessConstants, b_out: int
+    params: TheoryParams, constants: SmoothnessConstants, b_out: int | None
 ) -> tuple[float, float]:
     bg4lf2 = constants.b_g**4 * constants.l_f_outer**2
     eta = params.eta
-    coef = _second_moment_coef(kind, constants, params.sample_a, params.sample_b, b_out)
+    coef = _second_moment_coef(constants, params.sample_a, params.sample_b, b_out)
     ratio = 1.0 + (1.0 / params.h + 1.0 / params.d + params.d * bg4lf2 / params.sample_a) * eta
     ratio += 4.0 * coef * eta * eta
     offset = bg4lf2 / (2.0 * params.sample_a) * eta + 2.0 * constants.l_f * coef * eta * eta
@@ -130,47 +128,36 @@ def _diagnose(
     )
 
 
-def recursion_scvr1(
-    params: TheoryParams, constants: SmoothnessConstants, cap_k: int | None = None
-) -> RecursionDiagnostics:
-    """Potential recursion for the single-pair estimator variant."""
-    cap_k = params.cap_k if cap_k is None else cap_k
-    ratio, offset = _ratio_offset("scvr1", params, constants, 1)
-    return _diagnose(ratio, offset, params, constants, cap_k)
+# The algorithms with a potential recursion here, in report order.
+RECURSION_ALGORITHMS = ("scvr1", "scvr2", "minibatch")
+_MINIBATCH = ("minibatch", "minibatch_v1", "minibatch_v2")
 
 
-def recursion_scvr2(
-    params: TheoryParams, constants: SmoothnessConstants, cap_k: int | None = None
-) -> RecursionDiagnostics:
-    """Potential recursion with both inner estimates in play."""
-    cap_k = params.cap_k if cap_k is None else cap_k
-    ratio, offset = _ratio_offset("scvr2", params, constants, 1)
-    return _diagnose(ratio, offset, params, constants, cap_k)
+def _outer_batch(algorithm: str, b: int) -> int | None:
+    """The outer batch of ``algorithm``'s recursion, None for scvr1's
+    single pair: scvr2 is the mini-batch method at b = 1."""
+    if algorithm == "scvr1":
+        return None
+    if algorithm == "scvr2":
+        return 1
+    if algorithm in _MINIBATCH:
+        return b
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def recursion_minibatch(
+def recursion(
+    algorithm: str,
     params: TheoryParams,
     constants: SmoothnessConstants,
     cap_k: int | None = None,
-    b: int | None = None,
 ) -> RecursionDiagnostics:
-    """Potential recursion with an outer mini-batch of size b.
-
-    b = 1 reproduces the scvr2 recursion exactly (identical arithmetic).
-    """
+    """Potential recursion of ``algorithm``: 'scvr1' (single-pair
+    estimator), 'minibatch' (outer mini-batch of size params.batch_b,
+    either anchoring variant) or 'scvr2' (the mini-batch recursion at
+    b = 1, whatever params.batch_b says)."""
     cap_k = params.cap_k if cap_k is None else cap_k
-    b = params.batch_b if b is None else b
-    ratio, offset = _ratio_offset("minibatch", params, constants, b)
+    ratio, offset = _ratio_offset(params, constants, _outer_batch(algorithm, params.batch_b))
     return _diagnose(ratio, offset, params, constants, cap_k)
-
-
-_RECURSIONS = {
-    "scvr1": recursion_scvr1,
-    "scvr2": recursion_scvr2,
-    "minibatch": recursion_minibatch,
-    "minibatch_v1": recursion_minibatch,
-    "minibatch_v2": recursion_minibatch,
-}
 
 
 def rate_exponent(n: int, m: int, algorithm: str = "scvr") -> float:
@@ -181,7 +168,7 @@ def rate_exponent(n: int, m: int, algorithm: str = "scvr") -> float:
     if m < 1:
         raise ValueError("m must be at least 1")
     m0 = math.log(m) / math.log(n)
-    if algorithm in ("scvr", "scvr1", "scvr2", "minibatch", "minibatch_v1", "minibatch_v2"):
+    if algorithm in ("scvr", "scvr1", "scvr2") + _MINIBATCH:
         return 0.4 if m0 <= 1.0 else 0.4 * m0
     if algorithm == "svrg":
         return max(0.0, 2.0 * (1.0 - m0) / 3.0) if m0 <= 1.0 else 0.0
@@ -226,39 +213,28 @@ def suggest_parameters(
     h = n**h0 / (_E - 1.0)
     d = float(n**d0)
     if algorithm == "svrg":
-        sample_a = m
-        sample_b = m
         eta = scale * n ** (-alpha) / (4.0 * constants.l_f**3)
         cap_k = max(1, math.floor(scale * n ** (1.5 * alpha)))
         return TheoryParams(
             alpha=alpha, a0=alpha, b0_jac=alpha, h0=h0, d0=d0, h=h, d=d,
-            eta=eta, cap_k=cap_k, sample_a=sample_a, sample_b=sample_b, batch_b=1,
+            eta=eta, cap_k=cap_k, sample_a=m, sample_b=m, batch_b=1,
         )
     sample_a = max(1, math.ceil(bg4lf2 * n**alpha / 2.0))
     sample_b = max(1, math.ceil(bf2lg2 * n**alpha))
     lf = constants.l_f
-    if algorithm == "scvr1":
+    b_out = _outer_batch(algorithm, b)
+    if b_out is None:
         eta = n ** (-alpha) / (2.0 * lf * (2.0 * lf**2 + bg4lf2 / sample_a))
-        b_out = 1
-    elif algorithm == "scvr2":
-        eta = n ** (-alpha) / (
-            2.0 * lf * (bg4lf2 / sample_a + bf2lg2 / sample_b + lf**2)
-        )
-        b_out = 1
-    elif algorithm in ("minibatch", "minibatch_v1", "minibatch_v2"):
-        eta = (b * n ** (-alpha)) / (
-            2.0 * lf * (bg4lf2 / sample_a + bf2lg2 / sample_b + b * lf**2)
-        )
-        b_out = b
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        eta = (b_out * n ** (-alpha)) / (
+            2.0 * lf * (bg4lf2 / sample_a + bf2lg2 / sample_b + b_out * lf**2)
+        )
     eta *= scale
     params = TheoryParams(
         alpha=alpha, a0=alpha, b0_jac=alpha, h0=h0, d0=d0, h=h, d=d,
-        eta=eta, cap_k=1, sample_a=sample_a, sample_b=sample_b, batch_b=b_out,
+        eta=eta, cap_k=1, sample_a=sample_a, sample_b=sample_b, batch_b=b_out or 1,
     )
-    kind = "scvr1" if algorithm == "scvr1" else ("scvr2" if algorithm == "scvr2" else "minibatch")
-    ratio, _ = _ratio_offset(kind, params, constants, b_out)
+    ratio, _ = _ratio_offset(params, constants, b_out)
     params.cap_k = max(1, math.floor(scale / (ratio - 1.0)))
     return params
 

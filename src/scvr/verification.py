@@ -138,7 +138,7 @@ def exhaustive_grad_mean(
         acc = np.zeros_like(snap.grad_tilde)
         for i in range(1, n + 1):
             for j in range(1, m + 1):
-                acc += grad_scvr1(problem, x, snap, g_hat, i, j, shadow).direction
+                acc += grad_scvr1(problem, x, snap, g_hat, i, j, shadow)
         return acc / (n * m)
     if estimator_kind == "scvr2":
         if jac_hat is None:
@@ -146,7 +146,7 @@ def exhaustive_grad_mean(
         _check_guard(n, guard)
         acc = np.zeros_like(snap.grad_tilde)
         for i in range(1, n + 1):
-            acc += grad_scvr2(problem, snap, g_hat, jac_hat, i, shadow).direction
+            acc += grad_scvr2(problem, snap, g_hat, jac_hat, i, shadow)
         return acc / n
     raise ValueError(f"unknown estimator kind {estimator_kind!r}")
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from scvr import estimators, harness, problems
+from scvr import estimators, harness, optimizers, problems
 from scvr.harness import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -199,6 +199,20 @@ def test_verify_detects_wrong_query_charge(monkeypatch, capsys):
     assert main(["verify"]) == EXIT_VERIFY_FAILED
 
 
+def test_verify_query_accounting_covers_every_variant(monkeypatch):
+    seen = []
+    real = optimizers.run
+
+    def recording_run(problem, config, *args, **kwargs):
+        seen.append(config.variant)
+        return real(problem, config, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "run", recording_run)
+    ok, detail = harness._check_query_accounting()
+    assert ok, detail
+    assert sorted(seen) == sorted(optimizers.VARIANTS)
+
+
 def test_verify_wall_time_budget():
     import time
 
@@ -356,6 +370,35 @@ def test_sweep_bad_config_field_is_one_config_error_line(tmp_path, capsys, where
     path = _corrupt(tmp_path, where, name, value)
     assert main(["sweep", "--config", str(path), "--etas", "0.005"]) == EXIT_CONFIG
     assert name in _one_error_line(capsys, "E_CONFIG")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def _run_or_sweep(command, path):
+    if command == "run":
+        return main(["run", "--config", str(path)])
+    return main(["sweep", "--config", str(path), "--etas", "0.005"])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_size_beyond_numpy_dimension_limit_is_one_config_error_line(tmp_path, capsys, command):
+    # NumPy rejects this shape before it allocates anything
+    path = _corrupt(tmp_path, "problem", "n", 1e19)
+    assert _run_or_sweep(command, path) == EXIT_CONFIG
+    assert "cannot be allocated" in _one_error_line(capsys, "E_CONFIG")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unallocatable_size_is_one_config_error_line(tmp_path, capsys, monkeypatch, command):
+    # a real allocation of this size could succeed under overcommit and
+    # then fault its pages in, so the maker fails as NumPy would
+    def refuse(n, m, dim_x, dim_w, seed):
+        raise MemoryError(f"Unable to allocate 21.8 TiB for an array with shape ({n}, 3)")
+
+    monkeypatch.setattr(problems, "make_nonconvex_synthetic", refuse)
+    path = _corrupt(tmp_path, "problem", "n", 1e12)
+    assert _run_or_sweep(command, path) == EXIT_CONFIG
+    assert "21.8 TiB" in _one_error_line(capsys, "E_CONFIG")
     assert not (tmp_path / "trace.csv").exists()
 
 

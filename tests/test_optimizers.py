@@ -66,6 +66,14 @@ def test_gd_per_step_cost(affine_small):
     assert result.ledger.total == 4 * (2 * affine_small.m_inner + affine_small.n_outer)
 
 
+@pytest.mark.parametrize("variant", list(optimizers.VARIANTS))
+def test_startup_cost_is_the_snapshot_or_the_first_step(variant):
+    m, n = 7, 5
+    cfg = _cfg(variant, sample_a=3, sample_b=4, batch_b=2)
+    want = {"sgd": m + 2}.get(variant, 2 * m + n)  # gd's first step costs 2m + n too
+    assert optimizers.startup_query_cost(cfg, m, n) == want
+
+
 def test_shadow_instrumentation_not_charged(affine_small):
     dense = run(affine_small, _cfg("scvr1", record_every=1))
     sparse = run(affine_small, _cfg("scvr1", record_every=1000))
@@ -135,21 +143,26 @@ def test_scvr1_manual_replay_epoch_chaining(affine_small):
             i = stream.randrange(affine_small.n_outer) + 1
             j = stream.randrange(affine_small.m_inner) + 1
             est = estimators.grad_scvr1(affine_small, x, snap, g_hat, i, j, QueryLedger())
-            x = x - cfg.eta * est.direction
+            x = x - cfg.eta * est
     assert np.array_equal(got.x_last, x)
 
 
-def test_minibatch_b1_replays_scvr2(affine_small):
-    """With b=1 and identical seeds the outer-batched variant consumes the
-    same draws and produces the same trajectory as scvr2."""
+@given(batch_b=st.integers(1, 6), seed=st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_minibatch_b1_replays_scvr2(batch_b, seed):
+    """scvr2 runs minibatch_v1's step at b = 1 whatever its batch_b: with
+    identical seeds both consume the same draws and produce the same
+    iterates, trace and ledger."""
+    problem = problems.make_affine_quadratic(n=5, m=4, dim_x=3, dim_w=3, seed=1)
     x0 = np.array([0.2, 0.5, -0.3])
-    kw = dict(epochs_s=2, inner_k=3, sample_a=2, sample_b=2, seed=21, eta=0.02)
-    a = run(affine_small, _cfg("scvr2", **kw), x0=x0)
-    b = run(affine_small, _cfg("minibatch_v1", batch_b=1, **kw), x0=x0)
-    assert np.array_equal(a.x_last, b.x_last)
-    assert np.array_equal(a.x_out, b.x_out)
-    for ra, rb in zip(a.trace, b.trace):
-        assert ra.grad_norm_sq == rb.grad_norm_sq
+    kw = dict(epochs_s=2, inner_k=3, sample_a=2, sample_b=3, seed=seed, eta=0.02,
+              record_every=2)
+    a = run(problem, _cfg("scvr2", batch_b=batch_b, **kw), x0=x0)
+    b = run(problem, _cfg("minibatch_v1", batch_b=1, **kw), x0=x0)
+    assert a.x_last.tobytes() == b.x_last.tobytes()
+    assert a.x_out.tobytes() == b.x_out.tobytes()
+    assert a.trace == b.trace
+    assert a.ledger == b.ledger
 
 
 # -- output iterate sampling -------------------------------------------------------
@@ -273,27 +286,6 @@ def test_trace_queries_monotone(affine_small):
 # -- config validation -----------------------------------------------------------------
 
 
-def test_variant_wrappers_dispatch_and_validate(affine_small):
-    wrappers = {
-        "scvr1": optimizers.run_scvr1,
-        "scvr2": optimizers.run_scvr2,
-        "minibatch_v1": optimizers.run_minibatch,
-        "minibatch_v2": optimizers.run_minibatch,
-        "svrg": optimizers.run_svrg,
-        "sgd": optimizers.run_sgd,
-        "gd": optimizers.run_gd,
-    }
-    for variant, wrapper in wrappers.items():
-        cfg = _cfg(variant, epochs_s=1, inner_k=2)
-        direct = run(affine_small, cfg)
-        wrapped = wrapper(affine_small, cfg)
-        assert np.array_equal(direct.x_last, wrapped.x_last)
-    with pytest.raises(ValueError):
-        optimizers.run_scvr1(affine_small, _cfg("svrg"))
-    with pytest.raises(ValueError):
-        optimizers.run_minibatch(affine_small, _cfg("gd"))
-
-
 def test_config_rejects_unknown_variant():
     with pytest.raises(ValueError):
         OptimizerConfig(eta=0.1, epochs_s=1, inner_k=1, variant="adam")
@@ -311,7 +303,7 @@ def test_config_rejects_negative_or_non_finite_eta(eta):
 
 
 @given(
-    variant=st.sampled_from(["scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "svrg"]),
+    variant=st.sampled_from(list(optimizers.VARIANTS)),
     s=st.integers(min_value=1, max_value=3),
     k=st.integers(min_value=1, max_value=4),
     a=st.integers(min_value=1, max_value=4),
@@ -328,3 +320,51 @@ def test_query_total_formula_property(variant, s, k, a, bj, bo, seed):
     )
     result = run(problem, cfg)
     assert result.ledger.total == expected_total_queries(variant, s, k, 3, 3, a, bj, bo)
+
+
+def _budgeted_total(variant, s, k, m, n, a, bj, bo, budget):
+    """The ledger total a budgeted run must reach: it takes each snapshot
+    (with its first step) and each step while the budget covers it."""
+    snapshot = 2 * m + n if optimizers.VARIANTS[variant].snapshot else 0
+    step = optimizers.step_query_cost(variant, m, n, a, bj, bo)
+    total = 0
+    for _ in range(s):
+        if total + snapshot + step > budget:
+            return total
+        total += snapshot
+        for _ in range(k):
+            if total + step > budget:
+                return total
+            total += step
+    return total
+
+
+@given(
+    variant=st.sampled_from(list(optimizers.VARIANTS)),
+    s=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=4),
+    a=st.integers(min_value=1, max_value=4),
+    bj=st.integers(min_value=1, max_value=4),
+    bo=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_budgeted_ledger_stops_only_when_the_next_move_exceeds(
+    variant, s, k, a, bj, bo, budget, seed
+):
+    problem = problems.make_affine_quadratic(n=3, m=3, dim_x=2, dim_w=2, seed=2)
+    cfg = OptimizerConfig(
+        eta=0.001, epochs_s=s, inner_k=k, variant=variant,
+        sample_a=a, sample_b=bj, batch_b=bo, seed=seed, record_every=1000,
+    )
+    result = run(problem, cfg, budget=budget)
+    total = result.ledger.total
+    assert total <= budget
+    assert total == _budgeted_total(variant, s, k, 3, 3, a, bj, bo, budget)
+    assert result.trace[-1].total_queries == total
+    full = expected_total_queries(variant, s, k, 3, 3, a, bj, bo)
+    if total < full:  # stopped: the next snapshot plus step would not fit
+        snapshot = 2 * 3 + 3 if optimizers.VARIANTS[variant].snapshot else 0
+        step = optimizers.step_query_cost(variant, 3, 3, a, bj, bo)
+        assert total + snapshot + step > budget

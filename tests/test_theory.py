@@ -11,19 +11,13 @@ from scvr.theory import (
     RecursionDiagnostics,
     TheoryParams,
     predict_query_complexity,
-    recursion_minibatch,
-    recursion_scvr1,
-    recursion_scvr2,
+    recursion,
     suggest_parameters,
 )
 
 UNIT = SmoothnessConstants(b_g=1.0, l_g=1.0, b_f=1.0, l_f_outer=1.0, l_f=1.0)
 
-RECURSIONS = {
-    "scvr1": recursion_scvr1,
-    "scvr2": recursion_scvr2,
-    "minibatch": recursion_minibatch,
-}
+RECURSIONS = ("scvr1", "scvr2", "minibatch")
 
 
 def _params(eta=0.01, h=2.0, d=2.0, a=2, bj=2, bo=1, cap_k=50):
@@ -40,7 +34,7 @@ def _params(eta=0.01, h=2.0, d=2.0, a=2, bj=2, bo=1, cap_k=50):
 def test_terminal_weight_trivial_form(name):
     """With c_K = 0 the last weight is eta/2 - 2 L_f eta^2."""
     params = _params()
-    diag = RECURSIONS[name](params, UNIT)
+    diag = recursion(name, params, UNIT)
     eta, lf = params.eta, UNIT.l_f
     assert diag.u_sequence[-1] == pytest.approx(eta / 2 - 2 * lf * eta * eta, abs=0)
     assert diag.c_sequence[-1] == 0.0
@@ -48,7 +42,7 @@ def test_terminal_weight_trivial_form(name):
 
 @pytest.mark.parametrize("name", list(RECURSIONS))
 def test_c_sequence_nonnegative_decreasing(name):
-    diag = RECURSIONS[name](_params(), UNIT)
+    diag = recursion(name, _params(), UNIT)
     c = diag.c_sequence
     assert np.all(c >= 0.0)
     assert np.all(np.diff(c) <= 0.0)  # decreasing as the step index grows
@@ -57,12 +51,12 @@ def test_c_sequence_nonnegative_decreasing(name):
 def test_closed_form_matches_forward_recursion_grid():
     """Geometric closed form vs the explicit backward loop, all variants,
     over an eta/size grid."""
-    for name, recursion in RECURSIONS.items():
+    for name in RECURSIONS:
         for eta in (1e-4, 1e-3, 1e-2):
             for cap_k in (1, 5, 50, 400):
                 for a in (1, 8):
                     params = _params(eta=eta, a=a, cap_k=cap_k)
-                    diag = recursion(params, UNIT)
+                    diag = recursion(name, params, UNIT)
                     rel = abs(diag.c_sequence[0] - diag.c0_closed) / max(
                         abs(diag.c0_closed), 1e-300
                     )
@@ -79,16 +73,16 @@ def test_hand_rolled_recursion_independent_oracle():
     offset = bg4lf2 / 8 * 0.01 + 2 * 3.0 * coef * 1e-4
     c3, c2, c1, c0 = 0.0, offset, offset * ratio + offset, None
     c0 = (offset * ratio + offset) * ratio + offset
-    diag = recursion_scvr1(params, constants)
+    diag = recursion("scvr1", params, constants)
     assert diag.c_sequence[0] == pytest.approx(c0, rel=1e-14)
     assert diag.c_sequence[1] == pytest.approx(c1, rel=1e-14)
     assert diag.c_sequence[2] == pytest.approx(c2, rel=1e-14)
 
 
 def test_minibatch_b1_equals_scvr2_exactly():
-    params = _params(bo=1, cap_k=80)
-    a = recursion_scvr2(params, UNIT)
-    b = recursion_minibatch(params, UNIT, b=1)
+    """scvr2 is the mini-batch recursion at b = 1, whatever batch_b says."""
+    a = recursion("scvr2", _params(bo=4, cap_k=80), UNIT)
+    b = recursion("minibatch", _params(bo=1, cap_k=80), UNIT)
     assert np.array_equal(a.c_sequence, b.c_sequence)
     assert np.array_equal(a.u_sequence, b.u_sequence)
     assert a.c0_closed == b.c0_closed
@@ -96,7 +90,7 @@ def test_minibatch_b1_equals_scvr2_exactly():
 
 def test_premise_flag_not_exception():
     params = _params(eta=10.0)  # absurd step: premises must fail, not raise
-    diag = recursion_scvr1(params, UNIT)
+    diag = recursion("scvr1", params, UNIT)
     assert isinstance(diag, RecursionDiagnostics)
     assert not diag.premise_ok
     assert diag.u_min <= 0.0
@@ -110,7 +104,7 @@ def test_premise_flag_not_exception():
 def test_suggested_parameters_satisfy_premises(n, algo):
     b = 2 if algo == "minibatch" else 1
     params = suggest_parameters(n, n, UNIT, algorithm=algo, b=b)
-    diag = RECURSIONS[algo](params, UNIT)
+    diag = recursion(algo, params, UNIT)
     assert diag.c0h < 0.5
     assert diag.u_min > 0.0
     assert diag.premise_ok
