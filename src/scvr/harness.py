@@ -115,21 +115,21 @@ def build_problem(block: dict):
     def num(name, default, convert=int):
         return _field(block, name, default, convert, "problem")
 
-    def size(name, default):
+    def size(name, default, least=1):
         value = num(name, default)
-        if value < 1:
-            raise ConfigError(f"problem: field {name!r} must be at least 1, got {value!r}")
+        if value < least:
+            raise ConfigError(f"problem: field {name!r} must be at least {least}, got {value!r}")
         return value
 
     if kind == "affine_quadratic":
         return problems.make_affine_quadratic(
             n=size("n", 10), m=size("m", 10), dim_x=size("dim_x", 4), dim_w=size("dim_w", 4),
-            seed=num("seed", 0),
+            seed=size("seed", 0, least=0),
         )
     if kind == "nonconvex_synthetic":
         return problems.make_nonconvex_synthetic(
             n=size("n", 100), m=size("m", 100), dim_x=size("dim_x", 8),
-            dim_w=size("dim_w", 8), seed=num("seed", 0),
+            dim_w=size("dim_w", 8), seed=size("seed", 0, least=0),
         )
     if kind == "sne":
         path = block.get("data")
@@ -241,6 +241,9 @@ def prepare_experiment(cfg: dict):
     return problem, configs, meta
 
 
+_NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
+
+
 def _prepare_or_fail(cfg: dict):
     """:func:`prepare_experiment`, with each input error mapped to its CLI
     code: the config's own fields give E_CONFIG, the files it names
@@ -252,8 +255,11 @@ def _prepare_or_fail(cfg: dict):
     except (problems.MatrixParseError, problems.ProblemConstructionError, OSError) as exc:
         _fail(EXIT_DATA, "E_DATA", str(exc))
     except (MemoryError, ValueError) as exc:
-        # NumPy refuses sizes it cannot allocate (MemoryError) or that
-        # exceed its dimension limit (a plain ValueError)
+        # NumPy refuses sizes it cannot allocate (MemoryError), or a shape
+        # past its size limit before allocating; any other ValueError is a
+        # fault, not an input error
+        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_SIZE_ERRORS):
+            raise
         _fail(EXIT_CONFIG, "E_CONFIG", f"problem sizes cannot be allocated: {exc}")
 
 
@@ -468,9 +474,10 @@ def _check_grad_conditional_mean() -> tuple[bool, str]:
 
 def _check_query_accounting() -> tuple[bool, str]:
     problem = problems.make_affine_quadratic(n=5, m=4, dim_x=2, dim_w=2, seed=2)
-    shapes = [(2, 3, 2, 1, 1), (1, 2, 1, 1, 1), (1, 1, 1, 1, 1), (2, 2, 2, 3, 2)]
-    for index, variant in enumerate(optimizers.VARIANTS):
-        s, k, a, bj, bo = shapes[index % len(shapes)]
+    grid = verification.QUERY_ACCOUNTING_SHAPES
+    if set(grid) != set(optimizers.VARIANTS):
+        return False, f"run shapes for {sorted(grid)}, variants {sorted(optimizers.VARIANTS)}"
+    for variant, (s, k, a, bj, bo) in grid.items():
         cfg = OptimizerConfig(
             eta=0.0, epochs_s=s, inner_k=k, variant=variant,
             sample_a=a, sample_b=bj, batch_b=bo, seed=1, record_every=10_000,

@@ -213,11 +213,13 @@ def suggest_parameters(
     h = n**h0 / (_E - 1.0)
     d = float(n**d0)
     if algorithm == "svrg":
+        sample_a = m
+        sample_b = m
         eta = scale * n ** (-alpha) / (4.0 * constants.l_f**3)
         cap_k = max(1, math.floor(scale * n ** (1.5 * alpha)))
         return TheoryParams(
             alpha=alpha, a0=alpha, b0_jac=alpha, h0=h0, d0=d0, h=h, d=d,
-            eta=eta, cap_k=cap_k, sample_a=m, sample_b=m, batch_b=1,
+            eta=eta, cap_k=cap_k, sample_a=sample_a, sample_b=sample_b, batch_b=1,
         )
     sample_a = max(1, math.ceil(bg4lf2 * n**alpha / 2.0))
     sample_b = max(1, math.ceil(bf2lg2 * n**alpha))

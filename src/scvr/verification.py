@@ -24,6 +24,19 @@ from scvr.estimators import (
 
 DEFAULT_ENUM_GUARD = 1_000_000
 
+# Run shapes (S, K, A, B, b) at which ``scvr verify`` checks each variant's
+# ledger against its closed-form count, one row per variant.  Two epochs
+# check that a later epoch's snapshot is charged again.
+QUERY_ACCOUNTING_SHAPES = {
+    "scvr1": (2, 3, 2, 1, 1),
+    "scvr2": (1, 2, 1, 1, 1),
+    "minibatch_v1": (1, 1, 1, 1, 1),
+    "minibatch_v2": (2, 2, 2, 3, 2),
+    "svrg": (2, 2, 1, 1, 1),
+    "gd": (2, 2, 1, 1, 1),
+    "sgd": (2, 3, 1, 1, 1),
+}
+
 
 class OracleError(RuntimeError):
     """An oracle probe failed (non-finite value or guarded enumeration)."""

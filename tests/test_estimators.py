@@ -228,10 +228,17 @@ def test_grad_minibatch_v1_singleton_equals_scvr2(curved_inner):
     x = np.array([0.2, -0.8, 0.4])
     g_hat = estimate_inner(curved_inner, x, snap, [1], QueryLedger())
     jac_hat = estimate_inner_jacobian(curved_inner, x, snap, [3], QueryLedger())
+    jac_tilde = snap.jac_tilde.dense()
     for i in range(1, curved_inner.n_outer + 1):
+        g_x = curved_inner.outer_component_gradient(i, g_hat)
+        g_t = curved_inner.outer_component_gradient(i, snap.g_tilde)
+        want = jac_hat.T @ g_x - jac_tilde.T @ g_t + snap.grad_tilde
+        ledger = QueryLedger()
         a = grad_minibatch_v1(curved_inner, snap, g_hat, jac_hat, [i], QueryLedger())
-        b = grad_scvr2(curved_inner, snap, g_hat, jac_hat, i, QueryLedger())
-        assert np.array_equal(a, b)
+        b = grad_scvr2(curved_inner, snap, g_hat, jac_hat, i, ledger)
+        assert np.array_equal(a, want)
+        assert np.array_equal(b, want)
+        assert ledger == QueryLedger(outer_gradient_queries=2)
 
 
 def test_grad_minibatch_v1_ledger_delta(affine_small, snap_affine):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from scvr import estimators, harness, optimizers, problems
+from scvr import estimators, harness, optimizers, problems, verification
 from scvr.harness import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -211,6 +211,17 @@ def test_verify_query_accounting_covers_every_variant(monkeypatch):
     ok, detail = harness._check_query_accounting()
     assert ok, detail
     assert sorted(seen) == sorted(optimizers.VARIANTS)
+    # svrg's snapshot is charged again in a later epoch
+    assert verification.QUERY_ACCOUNTING_SHAPES["svrg"][:2] == (2, 2)
+
+
+def test_verify_query_accounting_fails_for_a_variant_without_shape(monkeypatch):
+    shapes = dict(verification.QUERY_ACCOUNTING_SHAPES)
+    del shapes["gd"]
+    monkeypatch.setattr(verification, "QUERY_ACCOUNTING_SHAPES", shapes)
+    ok, detail = harness._check_query_accounting()
+    assert not ok
+    assert detail == f"run shapes for {sorted(shapes)}, variants {sorted(optimizers.VARIANTS)}"
 
 
 def test_verify_wall_time_budget():
@@ -348,6 +359,8 @@ BAD_CONFIG_FIELDS = (
        ("config", "init_scale", True), ("algorithm", "eta", "0.05"),
        ("algorithm", "inner_k", False), ("algorithm", "sample_a", float("inf")),
        pytest.param("algorithm", "eta", 10**400, id="algorithm-eta-int_beyond_float")]
+    # problem seeds below 0
+    + [("problem", "seed", -1), ("affine", "seed", -1)]
 )
 
 
@@ -380,12 +393,32 @@ def _run_or_sweep(command, path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_size_beyond_numpy_dimension_limit_is_one_config_error_line(tmp_path, capsys, command):
-    # NumPy rejects this shape before it allocates anything
-    path = _corrupt(tmp_path, "problem", "n", 1e19)
+@pytest.mark.parametrize("name,value,message", [
+    ("n", 1e19, "Maximum allowed dimension exceeded"),
+    ("m", 5e17, "array is too big"),
+])
+def test_size_beyond_numpy_size_limit_is_one_config_error_line(
+    tmp_path, capsys, command, name, value, message
+):
+    # NumPy rejects these shapes before it allocates anything: 1e19 rows
+    # pass its element limit, 5e17 inner 3 x 3 matrices its byte limit
+    path = _corrupt(tmp_path, "problem", name, value)
     assert _run_or_sweep(command, path) == EXIT_CONFIG
-    assert "cannot be allocated" in _one_error_line(capsys, "E_CONFIG")
+    line = _one_error_line(capsys, "E_CONFIG")
+    assert "cannot be allocated" in line and message in line
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_other_value_error_from_a_maker_is_not_an_input_error(tmp_path, monkeypatch, command):
+    # only NumPy's size-limit errors mean the sizes were too large
+    def broken(n, m, dim_x, dim_w, seed):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(problems, "make_nonconvex_synthetic", broken)
+    path, _ = _write_config(tmp_path)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        _run_or_sweep(command, path)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -80,12 +80,23 @@ def test_hand_rolled_recursion_independent_oracle():
 
 
 def test_minibatch_b1_equals_scvr2_exactly():
-    """scvr2 is the mini-batch recursion at b = 1, whatever batch_b says."""
-    a = recursion("scvr2", _params(bo=4, cap_k=80), UNIT)
-    b = recursion("minibatch", _params(bo=1, cap_k=80), UNIT)
+    """scvr2 is the mini-batch recursion at b = 1, whatever batch_b says;
+    both match coefficients written out for the doubly-estimated method."""
+    constants = SmoothnessConstants(b_g=2.0, l_g=0.5, b_f=1.5, l_f_outer=1.0, l_f=3.0)
+    a = recursion("scvr2", _params(eta=0.01, h=1.5, d=2.5, a=4, bj=2, bo=4, cap_k=3), constants)
+    b = recursion("minibatch", _params(eta=0.01, h=1.5, d=2.5, a=4, bj=2, bo=1, cap_k=3),
+                  constants)
     assert np.array_equal(a.c_sequence, b.c_sequence)
     assert np.array_equal(a.u_sequence, b.u_sequence)
     assert a.c0_closed == b.c0_closed
+    bg4lf2 = 2.0**4 * 1.0**2
+    coef = bg4lf2 / 4 + 1.5**2 * 0.5**2 / 2 + 3.0**2
+    ratio = 1 + (1 / 1.5 + 1 / 2.5 + 2.5 * bg4lf2 / 4) * 0.01 + 4 * coef * 1e-4
+    offset = bg4lf2 / 8 * 0.01 + 2 * 3.0 * coef * 1e-4
+    c2 = offset
+    c1 = offset * ratio + offset
+    c0 = c1 * ratio + offset
+    assert a.c_sequence == pytest.approx([c0, c1, c2, 0.0], rel=1e-14)
 
 
 def test_premise_flag_not_exception():
