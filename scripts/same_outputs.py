@@ -16,6 +16,7 @@ collects:
   the same config with all seven variants
 - the ``scvr check-params`` JSON for (n, m, b) in (100, 100, 1),
   (1000, 50, 4) and (10000, 10000, 2)
+- the stdout of ``scvr verify``
 
 It prints one line per output, ``identical`` or ``DIFFERENT``, and exits
 0 if every output is identical, 1 otherwise.
@@ -75,6 +76,19 @@ def _check_params(n: int, m: int, b: int, workdir: str) -> str:
         return fh.read()
 
 
+def _verify_stdout() -> str:
+    """What ``scvr verify`` prints; a failing check shows as its FAIL line."""
+    import contextlib
+    import io
+
+    from scvr import harness
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        harness.main(["verify"])
+    return out.getvalue()
+
+
 def probe(root: str, seeds: list[int]) -> None:
     """Print one JSON record of this process's outputs.  Runs inside the
     checkout ``root``, whose ``src/`` and ``perfbench/`` are on the path."""
@@ -108,6 +122,7 @@ def probe(root: str, seeds: list[int]) -> None:
         )
         for n, m, b in CHECK_PARAMS_SIZES:
             record[f"check-params n={n} m={m} b={b}"] = _check_params(n, m, b, workdir)
+        record["verify"] = _verify_stdout()
     print(json.dumps(record))
 
 

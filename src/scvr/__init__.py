@@ -13,7 +13,8 @@ Subpackages:
 - ``theory``        convergence-recursion diagnostics, parameter
                     suggestions, query-complexity exponents
 - ``problems``      synthetic fixtures and the neighbor-embedding problem
-- ``verification``  independent numerical oracles used by the test suite
+- ``verification``  the reference layer: independent numerical oracles
+                    and the invariant suite ``scvr verify`` prints
 - ``harness``       CLI front-end (run / check-params / verify / embed /
                     sweep)
 """

@@ -24,14 +24,16 @@ with ``compact=True``, the problem's compact part of dG_j(x) (the
 (n, d) slice g[:, j] for the embedding problem, the dense matrix for
 the synthetics), from which ``CompositionProblem.assemble_mean_jacobian``
 builds the exact mean Jacobian as an operator (the form the snapshot,
-``full_gradient`` and the svrg step use).  The finiteness check runs on
-the returned form.  Each helper checks its output for finiteness per
-query.  For arrays the first test is the squared norm
-``vdot(out, out)``: any NaN or infinite entry makes it non-finite.
-Only when it is non-finite does the exact elementwise test run, so
-finite outputs whose squared norm overflows still pass, and the set of
-outputs that raise :class:`EvaluationError` is exactly the set with a
-non-finite entry.
+``full_gradient`` and the svrg step use).  :func:`inner_jacobian_full`
+sums the dense component Jacobians instead; it is the reference that
+the operator and the dense estimators are checked against, and no run
+path calls it.  The finiteness check runs on the returned form.  Each
+helper checks its output for finiteness per query.  For arrays the
+first test is the squared norm ``vdot(out, out)``: any NaN or infinite
+entry makes it non-finite.  Only when it is non-finite does the exact
+elementwise test run, so finite outputs whose squared norm overflows
+still pass, and the set of outputs that raise :class:`EvaluationError`
+is exactly the set with a non-finite entry.
 """
 
 from __future__ import annotations
@@ -85,8 +87,7 @@ class QueryLedger:
 
     Every component evaluation routed through the ``query_*`` helpers
     below increments exactly one category by exactly 1.  The ledger is
-    not synchronized; concurrent workers keep private ledgers and
-    ``merge`` them.
+    not synchronized.
     """
 
     inner_value_queries: int = 0
@@ -103,30 +104,14 @@ class QueryLedger:
             + self.outer_gradient_queries
         )
 
-    def merge(self, other: "QueryLedger") -> None:
-        self.inner_value_queries += other.inner_value_queries
-        self.inner_jacobian_queries += other.inner_jacobian_queries
-        self.outer_value_queries += other.outer_value_queries
-        self.outer_gradient_queries += other.outer_gradient_queries
-
-    def copy(self) -> "QueryLedger":
-        return QueryLedger(
-            self.inner_value_queries,
-            self.inner_jacobian_queries,
-            self.outer_value_queries,
-            self.outer_gradient_queries,
-        )
-
 
 class MeanJacobian(Protocol):
     """The exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x) at one point,
     as an operator.  ``rmatvec(v)`` returns dG(x)^T v for a length-M
-    vector v (a new length-N vector; v is not modified), and ``dense()``
-    returns the (M, N) matrix, which the caller must not modify."""
+    vector v (a new length-N vector; v is not modified).  Its dense
+    reference is :func:`inner_jacobian_full`."""
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray: ...
-
-    def dense(self) -> np.ndarray: ...
 
 
 class DenseMeanJacobian:
@@ -137,9 +122,6 @@ class DenseMeanJacobian:
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix.T @ v
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
 
 
 class CompositionProblem(abc.ABC):
@@ -429,29 +411,3 @@ def sample_indices(stream: SampleStream, range_max: int, draws: int) -> list[int
         raise ValueError("draws must be at least 1")
     return stream.indices(range_max, draws)
 
-
-def power_iteration_norm(
-    matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000
-) -> float:
-    """Spectral norm of ``matrix`` by power iteration on A^T A.
-
-    Iterates v <- A^T A v / ||.|| until the Rayleigh estimate moves by
-    less than ``tol`` relative; deterministic start vector.
-    """
-    a = np.asarray(matrix, dtype=float)
-    ata = a.T @ a
-    dim = ata.shape[0]
-    v = np.ones(dim) / np.sqrt(dim)
-    est = 0.0
-    for _ in range(max_iter):
-        w = ata @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_est = float(v @ (ata @ v))
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
-            est = new_est
-            break
-        est = new_est
-    return float(np.sqrt(max(est, 0.0)))

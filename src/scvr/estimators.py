@@ -16,9 +16,11 @@ queries, and the gradient estimators used by the optimizer steps
 (``grad_scvr1``, ``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``)
 take it and each sampled Jacobian as products, so no step and no
 snapshot forms a dense Jacobian.  ``estimate_inner_jacobian``,
-``grad_scvr2`` and ``grad_minibatch_v1`` keep the dense form (the
-snapshot's through ``jac_tilde.dense()``); they are the reference the
-verification suite compares against.
+``grad_scvr2`` and ``grad_minibatch_v1`` keep the dense form; they are
+the reference the verification suite compares against.  They take the
+snapshot's dense Jacobian from the per-component sum
+``core.inner_jacobian_full`` on a private ledger, never from the
+operator they check, and charge the caller's ledger 2B or 2b queries.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from scvr.core import (
     MeanJacobian,
     QueryLedger,
     inner_full,
+    inner_jacobian_full,
     mean_jacobian,
     outer_gradient_full,
     query_inner_jacobian,
@@ -46,8 +49,8 @@ class EpochSnapshot:
     """Per-epoch cached quantities at the reference point.
 
     g_tilde, jac_tilde and grad_tilde are the exact inner value, mean
-    Jacobian (an operator with ``rmatvec`` and ``dense``) and composite
-    gradient at x_tilde.
+    Jacobian (an operator with ``rmatvec``) and composite gradient at
+    x_tilde.
     """
 
     x_tilde: np.ndarray
@@ -106,7 +109,7 @@ def estimate_inner_jacobian(
     Costs 2B queries.  Unbiased for dG(x) under uniform batches.
     """
     _require_batch(batch)
-    jac_tilde = snap.jac_tilde.dense()
+    jac_tilde = inner_jacobian_full(problem, snap.x_tilde, QueryLedger())
     acc = np.zeros_like(jac_tilde)
     for j in batch:
         fresh = query_inner_jacobian(problem, j, x, ledger)
@@ -179,7 +182,7 @@ def grad_minibatch_v1(
     Costs 2b queries.
     """
     _require_batch(outer_batch)
-    jac_tilde = snap.jac_tilde.dense()
+    jac_tilde = inner_jacobian_full(problem, snap.x_tilde, QueryLedger())
     acc = np.zeros_like(snap.grad_tilde)
     for i in outer_batch:
         outer_x = query_outer_gradient(problem, i, g_hat, ledger)

@@ -1,5 +1,5 @@
 """Command-line front-end: configured benchmark runs with CSV traces,
-parameter suggestions, a fast invariant-check suite, neighbor-embedding
+parameter suggestions, the invariant suite's report, neighbor-embedding
 runs, and step-size sweeps.
 
 Subcommands
@@ -8,7 +8,8 @@ run           execute the algorithms listed in a JSON config, write a
               combined trace CSV
 check-params  print suggested parameters, premise checks and
               query-complexity exponents for given problem sizes
-verify        run the fast invariant suite; exit 0 iff everything passes
+verify        print the fast invariant suite of ``verification``, one
+              line per check; exit 0 iff everything passes
 embed         normalize -> PCA -> neighbor embedding -> coordinates CSV
 sweep         re-run one config over a step-size grid, keep the best
 
@@ -37,16 +38,8 @@ import time
 
 import numpy as np
 
-from scvr import estimators, optimizers, problems, theory, verification
-from scvr.core import (
-    EvaluationError,
-    QueryLedger,
-    SampleStream,
-    SmoothnessConstants,
-    inner_jacobian_full,
-    outer_gradient_full,
-    sample_indices,
-)
+from scvr import optimizers, problems, theory, verification
+from scvr.core import EvaluationError, SampleStream, SmoothnessConstants
 from scvr.optimizers import DivergenceError, OptimizerConfig, TraceRecord
 
 EXIT_OK = 0
@@ -394,167 +387,9 @@ def cmd_check_params(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_snapshot_identities() -> tuple[bool, str]:
-    problem = problems.make_affine_quadratic(n=4, m=5, dim_x=3, dim_w=3, seed=11)
-    stream = SampleStream(7)
-    ledger = QueryLedger()
-    x = np.array([0.3, -1.2, 0.8])
-    snap = estimators.take_snapshot(problem, x, ledger)
-    worst = 0.0
-    for _ in range(20):
-        batch = sample_indices(stream, problem.m_inner, 3)
-        g_hat = estimators.estimate_inner(problem, x, snap, batch, ledger)
-        jac_hat = estimators.estimate_inner_jacobian(problem, x, snap, batch, ledger)
-        i = stream.randrange(problem.n_outer) + 1
-        j = stream.randrange(problem.m_inner) + 1
-        for est in (
-            estimators.grad_scvr1(problem, x, snap, g_hat, i, j, ledger),
-            estimators.grad_scvr2(problem, snap, g_hat, jac_hat, i, ledger),
-            estimators.grad_minibatch_v2(problem, x, snap, g_hat, batch, [i], ledger),
-            estimators.grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch, [i], ledger),
-        ):
-            worst = max(worst, float(np.abs(est - snap.grad_tilde).max()))
-    return worst <= 1e-12, f"max snapshot deviation {worst:.2e}"
-
-
-def _check_snapshot_operator() -> tuple[bool, str]:
-    """The snapshot's mean-Jacobian operator against the dense reference
-    ``inner_jacobian_full`` on a small embedding and an affine problem:
-    ``dense()`` equal entry by entry, ``rmatvec`` to 1e-12 of |J|^T |v|."""
-    data, _ = problems.make_cluster_data(7, clusters=2, dim=4, seed=1)
-    cases = (
-        problems.build_sne(data, sigma=1.0, embed_dim=2),
-        problems.make_affine_quadratic(n=4, m=5, dim_x=3, dim_w=3, seed=11),
-    )
-    stream = SampleStream(13)
-    worst = 0.0
-    for problem in cases:
-        x = stream.normal_vector(problem.dim_x, 0.5)
-        snap = estimators.take_snapshot(problem, x, QueryLedger())
-        dense = inner_jacobian_full(problem, x, QueryLedger())
-        if not np.array_equal(snap.jac_tilde.dense(), dense):
-            return False, f"{type(problem).__name__}: dense() differs from the reference"
-        for _ in range(5):
-            v = stream.normal_vector(problem.dim_w)
-            scale = np.maximum(np.abs(dense).T @ np.abs(v), np.finfo(float).tiny)
-            err = np.abs(snap.jac_tilde.rmatvec(v) - dense.T @ v) / scale
-            worst = max(worst, float(err.max()))
-    return worst <= 1e-12, f"max operator error {worst:.2e} of |J|^T|v|"
-
-
-def _check_inner_unbiasedness() -> tuple[bool, str]:
-    problem = problems.make_affine_quadratic(n=3, m=4, dim_x=3, dim_w=3, seed=3)
-    ledger = QueryLedger()
-    snap = estimators.take_snapshot(problem, np.zeros(3), ledger)
-    x = np.array([0.5, -0.7, 1.1])
-    mean_g = verification.exhaustive_inner_mean(problem, x, snap, a=2)
-    exact_g = sum(problem.inner_component(j, x) for j in range(1, 5)) / 4.0
-    mean_j = verification.exhaustive_jacobian_mean(problem, x, snap, b=1)
-    exact_j = sum(problem.inner_component_jacobian(j, x) for j in range(1, 5)) / 4.0
-    err = max(
-        float(np.abs(mean_g - exact_g).max()), float(np.abs(mean_j - exact_j).max())
-    )
-    return err <= 1e-12, f"max enumeration error {err:.2e}"
-
-
-def _check_grad_conditional_mean() -> tuple[bool, str]:
-    problem = problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=5)
-    ledger = QueryLedger()
-    snap = estimators.take_snapshot(problem, np.zeros(3), ledger)
-    x = np.array([0.4, -0.2, 0.6])
-    g_hat = estimators.estimate_inner(problem, x, snap, [2], ledger)
-    mean = verification.exhaustive_grad_mean(problem, x, snap, g_hat, "scvr1")
-    shadow = QueryLedger()
-    expected = inner_jacobian_full(problem, x, shadow).T @ outer_gradient_full(
-        problem, g_hat, shadow
-    )
-    err = float(np.abs(mean - expected).max())
-    return err <= 1e-12, f"conditional-mean error {err:.2e}"
-
-
-def _check_query_accounting() -> tuple[bool, str]:
-    problem = problems.make_affine_quadratic(n=5, m=4, dim_x=2, dim_w=2, seed=2)
-    grid = verification.QUERY_ACCOUNTING_SHAPES
-    if set(grid) != set(optimizers.VARIANTS):
-        return False, f"run shapes for {sorted(grid)}, variants {sorted(optimizers.VARIANTS)}"
-    for variant, (s, k, a, bj, bo) in grid.items():
-        cfg = OptimizerConfig(
-            eta=0.0, epochs_s=s, inner_k=k, variant=variant,
-            sample_a=a, sample_b=bj, batch_b=bo, seed=1, record_every=10_000,
-        )
-        result = optimizers.run(problem, cfg)
-        want = optimizers.expected_total_queries(
-            variant, s, k, problem.m_inner, problem.n_outer, a, bj, bo
-        )
-        if result.ledger.total != want:
-            return False, f"{variant}: ledger {result.ledger.total} != formula {want}"
-    return True, "ledger totals match the closed-form counts"
-
-
-def _check_second_moment_bounds() -> tuple[bool, str]:
-    balanced = problems.make_balanced_affine(m_pairs=2, dim_x=3, dim_w=3, seed=6)
-    ledger = QueryLedger()
-    x_tilde = np.zeros(3)
-    snap = estimators.take_snapshot(balanced, x_tilde, ledger)
-    x = np.array([0.9, -0.4, 0.2])
-    dist_sq = float(((x - x_tilde) ** 2).sum())
-    b_g = balanced.constants.b_g
-    for a in (1, 2, 4):
-        moment = verification.empirical_second_moment(
-            verification.InnerDeviationSampler(balanced, x, snap, a)
-        )
-        if not moment <= b_g * b_g / a * dist_sq:
-            return False, f"inner moment bound violated at A={a}"
-    curved = problems.make_curved_inner(seed=8)
-    ledger2 = QueryLedger()
-    snap2 = estimators.take_snapshot(curved, x_tilde, ledger2)
-    l_g = curved.constants.l_g
-    for b in (1, 2, 4):
-        moment = verification.empirical_second_moment(
-            verification.JacobianDeviationSampler(curved, x, snap2, b)
-        )
-        if not moment <= l_g * l_g / b * dist_sq:
-            return False, f"jacobian moment bound violated at B={b}"
-    return True, "second-moment bounds hold at A,B in {1,2,4}"
-
-
-def _check_recursion_closed_forms() -> tuple[bool, str]:
-    constants = SmoothnessConstants(b_g=1.0, l_g=1.0, b_f=1.0, l_f_outer=1.0, l_f=1.0)
-    worst = 0.0
-    for algo in theory.RECURSION_ALGORITHMS:
-        params = theory.suggest_parameters(1000, 1000, constants, algorithm=algo, b=2)
-        diag = theory.recursion(algo, params, constants)
-        rel = abs(diag.c_sequence[0] - diag.c0_closed) / max(abs(diag.c0_closed), 1e-300)
-        worst = max(worst, rel)
-    return worst <= 1e-10, f"max closed-form mismatch {worst:.2e}"
-
-
-VERIFY_CHECKS = (
-    ("snapshot_identities", _check_snapshot_identities),
-    ("snapshot_operator", _check_snapshot_operator),
-    ("inner_unbiasedness", _check_inner_unbiasedness),
-    ("grad_conditional_mean", _check_grad_conditional_mean),
-    ("query_accounting", _check_query_accounting),
-    ("second_moment_bounds", _check_second_moment_bounds),
-    ("recursion_closed_forms", _check_recursion_closed_forms),
-)
-
-
-def run_verify_checks() -> list[tuple[str, bool, str]]:
-    results = []
-    for name, fn in VERIFY_CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-    return results
-
-
 def cmd_verify(_args) -> int:
-    results = run_verify_checks()
     all_ok = True
-    for name, ok, detail in results:
+    for name, ok, detail in verification.run_verify_checks():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         all_ok &= ok
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED

@@ -105,8 +105,8 @@ def _diagnose(
     offset: float,
     params: TheoryParams,
     constants: SmoothnessConstants,
-    cap_k: int,
 ) -> RecursionDiagnostics:
+    cap_k = params.cap_k
     c = np.zeros(cap_k + 1)
     for k in range(cap_k - 1, -1, -1):
         c[k] = ratio * c[k + 1] + offset
@@ -146,18 +146,14 @@ def _outer_batch(algorithm: str, b: int) -> int | None:
 
 
 def recursion(
-    algorithm: str,
-    params: TheoryParams,
-    constants: SmoothnessConstants,
-    cap_k: int | None = None,
+    algorithm: str, params: TheoryParams, constants: SmoothnessConstants
 ) -> RecursionDiagnostics:
     """Potential recursion of ``algorithm``: 'scvr1' (single-pair
     estimator), 'minibatch' (outer mini-batch of size params.batch_b,
     either anchoring variant) or 'scvr2' (the mini-batch recursion at
     b = 1, whatever params.batch_b says)."""
-    cap_k = params.cap_k if cap_k is None else cap_k
     ratio, offset = _ratio_offset(params, constants, _outer_batch(algorithm, params.batch_b))
-    return _diagnose(ratio, offset, params, constants, cap_k)
+    return _diagnose(ratio, offset, params, constants)
 
 
 def rate_exponent(n: int, m: int, algorithm: str = "scvr") -> float:
@@ -246,10 +242,8 @@ class QueryComplexityReport:
     """Query-count growth exponents (in n) to reach a fixed accuracy.
 
     Exponents are computed from the pre-ceiling real-valued parameter
-    rules.  ``full_inner_exponent`` covers the regimes that skip inner
-    estimation entirely (the whole inner map, or unbounded sampling,
-    used per step); ``better`` names the method with the smaller
-    exponent, composition estimation winning ties.
+    rules.  ``better`` names the method with the smaller exponent,
+    composition estimation winning ties.
     """
 
     m0: float
@@ -258,11 +252,9 @@ class QueryComplexityReport:
     scvr_alpha: float
     svrg_exponent: float
     svrg_alpha: float
-    full_inner_exponent: float
     minibatch_parallel_outer_exponent: float | None
     minibatch_parallel_full_exponent: float | None
     minibatch_nonparallel_exponent: float | None
-    crossover_m0: float
     better: str
 
 
@@ -298,10 +290,8 @@ def predict_query_complexity(n: int, m: int, b: int | None = None) -> QueryCompl
         scvr_alpha=scvr_alpha,
         svrg_exponent=svrg_exp,
         svrg_alpha=svrg_alpha,
-        full_inner_exponent=svrg_exp,
         minibatch_parallel_outer_exponent=mb_outer,
         minibatch_parallel_full_exponent=mb_full,
         minibatch_nonparallel_exponent=mb_nonpar,
-        crossover_m0=0.4,
         better="scvr" if m0 >= 0.4 else "svrg",
     )

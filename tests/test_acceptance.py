@@ -95,10 +95,10 @@ def test_criterion_03_unbiasedness_by_enumeration():
     x = np.array([0.8, -0.3, 0.5])
     worst = 0.0
     for a in (1, 2):
-        mean = verification.exhaustive_inner_mean(problem, x, snap, a)
+        mean = verification.exhaustive_mean(estimate_inner, problem, x, snap, a)
         exact = core.inner_full(problem, x, QueryLedger())
         worst = max(worst, float(np.abs(mean - exact).max()))
-    mean_jac = verification.exhaustive_jacobian_mean(problem, x, snap, 1)
+    mean_jac = verification.exhaustive_mean(estimate_inner_jacobian, problem, x, snap, 1)
     exact_jac = core.inner_jacobian_full(problem, x, QueryLedger())
     worst = max(worst, float(np.abs(mean_jac - exact_jac).max()))
     assert worst <= 1e-12
@@ -106,7 +106,7 @@ def test_criterion_03_unbiasedness_by_enumeration():
     curved = problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=5)
     snap_c = take_snapshot(curved, np.zeros(3), QueryLedger())
     g_hat = estimate_inner(curved, x, snap_c, [1, 3], QueryLedger())
-    mean_grad = verification.exhaustive_grad_mean(curved, x, snap_c, g_hat, "scvr1")
+    mean_grad = verification.exhaustive_grad_mean(curved, x, snap_c, g_hat)
     expected = core.inner_jacobian_full(curved, x, QueryLedger()).T @ (
         core.outer_gradient_full(curved, g_hat, QueryLedger())
     )
@@ -124,18 +124,17 @@ def test_criterion_04_second_moment_bounds():
     b_g = balanced.constants.b_g
     margins = []
     for a in (1, 2, 4):
-        moment = verification.empirical_second_moment(
-            verification.InnerDeviationSampler(balanced, x, snap, a)
-        )
+        moment = verification.second_moment(estimate_inner, snap.g_tilde, balanced, x, snap, a)
         bound = b_g * b_g / a * dist_sq
         assert moment < bound
         margins.append(moment / bound)
     curved = problems.make_curved_inner(dim_x=3, dim_w=3, n=3, seed=8)
     snap_c = take_snapshot(curved, np.zeros(3), QueryLedger())
+    jac_tilde = core.inner_jacobian_full(curved, snap_c.x_tilde, QueryLedger())
     l_g = curved.constants.l_g
     for b in (1, 2, 4):
-        moment = verification.empirical_second_moment(
-            verification.JacobianDeviationSampler(curved, x, snap_c, b)
+        moment = verification.second_moment(
+            estimate_inner_jacobian, jac_tilde, curved, x, snap_c, b
         )
         bound = l_g * l_g / b * dist_sq
         assert moment < bound

@@ -17,6 +17,7 @@ from scvr.estimators import (
     grad_scvr2,
     take_snapshot,
 )
+from scvr.verification import second_moment
 
 
 @pytest.fixture
@@ -32,9 +33,9 @@ def test_take_snapshot_cost_and_consistency(affine_small):
     m, n = affine_small.m_inner, affine_small.n_outer
     assert ledger.total == 2 * m + n
     assert np.array_equal(snap.g_tilde, core.inner_full(affine_small, x, QueryLedger()))
-    assert np.array_equal(
-        snap.jac_tilde.dense(), core.inner_jacobian_full(affine_small, x, QueryLedger())
-    )
+    dense = core.inner_jacobian_full(affine_small, x, QueryLedger())
+    for v in (np.ones(affine_small.dim_w), np.arange(affine_small.dim_w) - 1.5):
+        assert np.array_equal(snap.jac_tilde.rmatvec(v), dense.T @ v)
     assert np.array_equal(
         snap.grad_tilde, core.full_gradient(affine_small, x, QueryLedger())
     )
@@ -83,13 +84,14 @@ def test_estimate_inner_empty_batch(affine_small, snap_affine):
 
 def test_estimate_jacobian_exact_at_snapshot(curved_inner):
     snap = take_snapshot(curved_inner, np.array([0.2, -0.1, 0.5]), QueryLedger())
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
     stream = SampleStream(8)
     for _ in range(10):
         batch = core.sample_indices(stream, curved_inner.m_inner, 2)
         out = estimate_inner_jacobian(
             curved_inner, snap.x_tilde, snap, batch, QueryLedger()
         )
-        assert np.array_equal(out, snap.jac_tilde.dense())
+        assert np.array_equal(out, jac_tilde)
 
 
 def test_estimate_jacobian_single_draw_unbiased(curved_inner):
@@ -176,14 +178,16 @@ def test_grad_scvr2_enumerated_mean(curved_inner):
     mean = acc / n
     outer_hat = core.outer_gradient_full(curved_inner, g_hat, QueryLedger())
     outer_tilde = core.outer_gradient_full(curved_inner, snap.g_tilde, QueryLedger())
-    expected = jac_hat.T @ outer_hat - snap.jac_tilde.dense().T @ outer_tilde + snap.grad_tilde
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
+    expected = jac_hat.T @ outer_hat - jac_tilde.T @ outer_tilde + snap.grad_tilde
     assert np.abs(mean - expected).max() < 1e-12
 
 
 def test_grad_scvr2_ledger_delta(curved_inner):
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     ledger = QueryLedger()
-    est = grad_scvr2(curved_inner, snap, snap.g_tilde, snap.jac_tilde.dense(), 1, ledger)
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
+    est = grad_scvr2(curved_inner, snap, snap.g_tilde, jac_tilde, 1, ledger)
     assert ledger.outer_gradient_queries == 2
     assert ledger.total == 2
 
@@ -214,11 +218,12 @@ def test_grad_minibatch_v1_full_batch_oracle(curved_inner):
     est = grad_minibatch_v1(
         curved_inner, snap, g_hat, jac_hat, list(range(1, n + 1)), QueryLedger()
     )
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
     acc = np.zeros(3)
     for i in range(1, n + 1):
         outer_hat = curved_inner.outer_component_gradient(i, g_hat)
         outer_tilde = curved_inner.outer_component_gradient(i, snap.g_tilde)
-        acc += jac_hat.T @ outer_hat - snap.jac_tilde.dense().T @ outer_tilde
+        acc += jac_hat.T @ outer_hat - jac_tilde.T @ outer_tilde
     expected = acc / n + snap.grad_tilde
     assert np.abs(est - expected).max() < 1e-12
 
@@ -228,7 +233,7 @@ def test_grad_minibatch_v1_singleton_equals_scvr2(curved_inner):
     x = np.array([0.2, -0.8, 0.4])
     g_hat = estimate_inner(curved_inner, x, snap, [1], QueryLedger())
     jac_hat = estimate_inner_jacobian(curved_inner, x, snap, [3], QueryLedger())
-    jac_tilde = snap.jac_tilde.dense()
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
     for i in range(1, curved_inner.n_outer + 1):
         g_x = curved_inner.outer_component_gradient(i, g_hat)
         g_t = curved_inner.outer_component_gradient(i, snap.g_tilde)
@@ -242,10 +247,10 @@ def test_grad_minibatch_v1_singleton_equals_scvr2(curved_inner):
 
 
 def test_grad_minibatch_v1_ledger_delta(affine_small, snap_affine):
+    jac_tilde = core.inner_jacobian_full(affine_small, snap_affine.x_tilde, QueryLedger())
     ledger = QueryLedger()
     est = grad_minibatch_v1(
-        affine_small, snap_affine, snap_affine.g_tilde, snap_affine.jac_tilde.dense(),
-        [1, 2, 2], ledger,
+        affine_small, snap_affine, snap_affine.g_tilde, jac_tilde, [1, 2, 2], ledger
     )
     assert ledger.outer_gradient_queries == 6
 
@@ -269,7 +274,7 @@ def test_grad_minibatch_v2_full_batches_oracle(curved_inner):
         list(range(1, m + 1)), list(range(1, n + 1)), QueryLedger(),
     )
     jac_x = core.inner_jacobian_full(curved_inner, x, QueryLedger())
-    jac_t = snap.jac_tilde.dense()
+    jac_t = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
     outer_hat = core.outer_gradient_full(curved_inner, g_hat, QueryLedger())
     outer_tilde = core.outer_gradient_full(curved_inner, snap.g_tilde, QueryLedger())
     expected = jac_x.T @ outer_hat - jac_t.T @ outer_tilde + snap.grad_tilde
@@ -290,40 +295,31 @@ def test_grad_minibatch_v2_ledger_delta(curved_inner):
 
 
 def test_inner_second_moment_bound_balanced(balanced_affine):
-    from scvr.verification import InnerDeviationSampler, empirical_second_moment
-
     snap = take_snapshot(balanced_affine, np.zeros(3), QueryLedger())
     x = np.array([0.9, -0.4, 0.2])
     dist_sq = float(x @ x)
     b_g = balanced_affine.constants.b_g
     for a in (1, 2, 4):
-        moment = empirical_second_moment(
-            InnerDeviationSampler(balanced_affine, x, snap, a)
-        )
+        moment = second_moment(estimate_inner, snap.g_tilde, balanced_affine, x, snap, a)
         assert moment <= b_g**2 / a * dist_sq
 
 
 def test_jacobian_second_moment_bound_curved(curved_inner):
-    from scvr.verification import JacobianDeviationSampler, empirical_second_moment
-
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
     x = np.array([0.9, -0.4, 0.2])
     dist_sq = float(x @ x)
     l_g = curved_inner.constants.l_g
     for b in (1, 2, 4):
-        moment = empirical_second_moment(
-            JacobianDeviationSampler(curved_inner, x, snap, b)
-        )
+        moment = second_moment(estimate_inner_jacobian, jac_tilde, curved_inner, x, snap, b)
         assert moment <= l_g**2 / b * dist_sq
 
 
 def test_doubling_batch_halves_second_moment(balanced_affine):
-    from scvr.verification import InnerDeviationSampler, empirical_second_moment
-
     snap = take_snapshot(balanced_affine, np.zeros(3), QueryLedger())
     x = np.array([0.3, 0.3, -0.8])
-    m1 = empirical_second_moment(InnerDeviationSampler(balanced_affine, x, snap, 1))
-    m2 = empirical_second_moment(InnerDeviationSampler(balanced_affine, x, snap, 2))
+    m1 = second_moment(estimate_inner, snap.g_tilde, balanced_affine, x, snap, 1)
+    m2 = second_moment(estimate_inner, snap.g_tilde, balanced_affine, x, snap, 2)
     assert m2 == pytest.approx(m1 / 2.0, rel=1e-12)
 
 

@@ -14,8 +14,8 @@ from scvr.harness import (
     EXIT_VERIFY_FAILED,
     TRACE_HEADER,
     main,
-    run_verify_checks,
 )
+from scvr.verification import VERIFY_CHECKS, _check_query_accounting, run_verify_checks
 
 
 def _write_config(tmp_path, **overrides):
@@ -180,7 +180,7 @@ def test_check_params_bad_constant_or_batch_is_one_args_error_line(capsys, flag,
 def test_verify_passes_on_pristine_build(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("PASS") == len(harness.VERIFY_CHECKS)
+    assert out.count("PASS") == len(VERIFY_CHECKS)
     assert "FAIL" not in out
 
 
@@ -208,7 +208,7 @@ def test_verify_query_accounting_covers_every_variant(monkeypatch):
         return real(problem, config, *args, **kwargs)
 
     monkeypatch.setattr(optimizers, "run", recording_run)
-    ok, detail = harness._check_query_accounting()
+    ok, detail = _check_query_accounting()
     assert ok, detail
     assert sorted(seen) == sorted(optimizers.VARIANTS)
     # svrg's snapshot is charged again in a later epoch
@@ -219,7 +219,7 @@ def test_verify_query_accounting_fails_for_a_variant_without_shape(monkeypatch):
     shapes = dict(verification.QUERY_ACCOUNTING_SHAPES)
     del shapes["gd"]
     monkeypatch.setattr(verification, "QUERY_ACCOUNTING_SHAPES", shapes)
-    ok, detail = harness._check_query_accounting()
+    ok, detail = _check_query_accounting()
     assert not ok
     assert detail == f"run shapes for {sorted(shapes)}, variants {sorted(optimizers.VARIANTS)}"
 

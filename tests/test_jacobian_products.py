@@ -135,8 +135,6 @@ def test_mean_jacobian_matches_per_component_dense_sum(cls, seed, scale, data):
     assert op.rmatvec(v).tobytes() == got.tobytes()
     # zero in, exactly zero out: the snapshot identities rest on it
     assert np.array_equal(op.rmatvec(np.zeros(problem.dim_w)), np.zeros(problem.dim_x))
-    # the dense form is the value the per-component sum computes
-    assert np.array_equal(op.dense(), dense)
 
 
 def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
@@ -260,11 +258,16 @@ ESTIMATOR_PROBLEMS = {
 }
 
 
-def _draw_step(problem, seed, data):
+def _points(problem, seed):
+    """A snapshot at a seeded x_tilde and a seeded point x near it."""
     rng = np.random.default_rng(seed)
     x_tilde = rng.normal(size=problem.dim_x) * 0.5
     x = x_tilde + rng.normal(size=problem.dim_x) * 0.3
-    snap = take_snapshot(problem, x_tilde, QueryLedger())
+    return x, take_snapshot(problem, x_tilde, QueryLedger())
+
+
+def _draw_step(problem, seed, data):
+    x, snap = _points(problem, seed)
     jac_index = st.integers(1, problem.m_inner)
     batch_a = data.draw(st.lists(jac_index, min_size=1, max_size=4))
     batch_b = data.draw(st.lists(jac_index, min_size=1, max_size=4))
@@ -272,22 +275,26 @@ def _draw_step(problem, seed, data):
     return x, snap, batch_a, batch_b, outer
 
 
-def _scale(problem, snap, g_hat, jac_hat, outer):
-    """Entrywise magnitude of the dense estimator's three terms."""
+def _scale(problem, x, snap, g_hat, jac_hat, batch_b, outer):
+    """Entrywise magnitude of the terms either form sums: the dense
+    estimator's three, plus the product form's per-draw products
+    dG_j(x)^T u_x and dG_j(x_tilde)^T u_x, which can be far larger than
+    |jac_hat|^T |u_x| when the draws cancel in jac_hat."""
     u_x = sum(problem.outer_component_gradient(i, g_hat) for i in outer) / len(outer)
     u_t = sum(problem.outer_component_gradient(i, snap.g_tilde) for i in outer) / len(outer)
+    jac_tilde = core.inner_jacobian_full(problem, snap.x_tilde, QueryLedger())
+    per_draw = sum(
+        _product_bound(problem.inner_component_jacobian(j, x), u_x)
+        + _product_bound(problem.inner_component_jacobian(j, snap.x_tilde), u_x)
+        for j in batch_b
+    ) / len(batch_b)
     return (
-        _product_bound(jac_hat, u_x) + _product_bound(snap.jac_tilde.dense(), u_t)
-        + np.abs(snap.grad_tilde)
+        _product_bound(jac_hat, u_x) + _product_bound(jac_tilde, u_t)
+        + np.abs(snap.grad_tilde) + per_draw
     )
 
 
-@given(name=st.sampled_from(sorted(ESTIMATOR_PROBLEMS)), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_vjp_estimator_matches_dense_pair(name, seed, data):
-    problem = ESTIMATOR_PROBLEMS[name]()
-    x, snap, batch_a, batch_b, outer = _draw_step(problem, seed, data)
+def _check_vjp_estimator(problem, x, snap, batch_a, batch_b, outer):
     g_hat = estimate_inner(problem, x, snap, batch_a, QueryLedger())
 
     dense_ledger = QueryLedger()
@@ -296,7 +303,7 @@ def test_vjp_estimator_matches_dense_pair(name, seed, data):
     ledger = QueryLedger()
     got = grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch_b, outer, ledger)
 
-    tol = 1e-12 * _scale(problem, snap, g_hat, jac_hat, outer)
+    tol = 1e-12 * _scale(problem, x, snap, g_hat, jac_hat, batch_b, outer)
     assert np.all(np.abs(got - dense) <= tol)
     assert ledger == dense_ledger
     assert ledger.total == 2 * len(batch_b) + 2 * len(outer)
@@ -304,7 +311,7 @@ def test_vjp_estimator_matches_dense_pair(name, seed, data):
     # a singleton outer batch is scvr2's step
     single = grad_minibatch_v1_vjp(problem, x, snap, g_hat, batch_b, outer[:1], QueryLedger())
     scvr2 = grad_scvr2(problem, snap, g_hat, jac_hat, outer[0], QueryLedger())
-    tol = 1e-12 * _scale(problem, snap, g_hat, jac_hat, outer[:1])
+    tol = 1e-12 * _scale(problem, x, snap, g_hat, jac_hat, batch_b, outer[:1])
     assert np.all(np.abs(single - scvr2) <= tol)
 
     # at the snapshot every correction cancels exactly
@@ -313,3 +320,20 @@ def test_vjp_estimator_matches_dense_pair(name, seed, data):
         problem, snap.x_tilde, snap, g_snap, batch_b, outer, QueryLedger()
     )
     assert at_snap.tobytes() == snap.grad_tilde.tobytes()
+
+
+@given(name=st.sampled_from(sorted(ESTIMATOR_PROBLEMS)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vjp_estimator_matches_dense_pair(name, seed, data):
+    problem = ESTIMATOR_PROBLEMS[name]()
+    _check_vjp_estimator(problem, *_draw_step(problem, seed, data))
+
+
+def test_vjp_estimator_matches_dense_pair_when_draws_cancel():
+    """The case that showed the dense estimator's terms too small a scale:
+    the draws [1, 1, 1, 5] nearly cancel in jac_hat, and the product form
+    is off by 4.65e-5 in one entry, against 3.39e-5 from those terms."""
+    problem = ESTIMATOR_PROBLEMS["sne"]()
+    x, snap = _points(problem, 14406110)
+    _check_vjp_estimator(problem, x, snap, [4], [1, 1, 1, 5], [1])

@@ -1,22 +1,18 @@
 """Oracle machinery: finite differences, exhaustive expectations,
-second-moment samplers, ledger isolation, and the documented bias."""
+exact second moments, ledger isolation, and the documented bias."""
 
 import numpy as np
 import pytest
 
-from scvr import core, problems
-from scvr.core import QueryLedger, SampleStream
-from scvr.estimators import estimate_inner, take_snapshot
+from scvr import core, problems, verification
+from scvr.core import QueryLedger
+from scvr.estimators import estimate_inner, estimate_inner_jacobian, grad_scvr2, take_snapshot
 from scvr.verification import (
-    FiniteDiffConfig,
-    InnerDeviationSampler,
-    JacobianDeviationSampler,
     OracleError,
-    empirical_second_moment,
     exhaustive_grad_mean,
-    exhaustive_inner_mean,
-    exhaustive_jacobian_mean,
+    exhaustive_mean,
     fd_gradient,
+    second_moment,
 )
 
 
@@ -61,13 +57,6 @@ def test_fd_matches_analytic_sne(sne_small):
     assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FiniteDiffConfig(step=0.0)
-    with pytest.raises(ValueError):
-        FiniteDiffConfig(scheme="forward")
-
-
 def test_fd_non_finite_probe_names_coordinate():
     class Exploding(PlainQuadratic):
         def outer_component(self, i, w):
@@ -85,7 +74,7 @@ def test_fd_non_finite_probe_names_coordinate():
 def test_exhaustive_inner_mean_single_draw(affine_small):
     snap = take_snapshot(affine_small, np.zeros(3), QueryLedger())
     x = np.array([0.7, -0.2, 0.5])
-    mean = exhaustive_inner_mean(affine_small, x, snap, a=1)
+    mean = exhaustive_mean(estimate_inner, affine_small, x, snap, 1)
     exact = core.inner_full(affine_small, x, QueryLedger())
     assert np.abs(mean - exact).max() <= 1e-12
 
@@ -94,21 +83,21 @@ def test_exhaustive_inner_mean_pairs():
     problem = problems.make_affine_quadratic(n=2, m=3, dim_x=2, dim_w=2, seed=5)
     snap = take_snapshot(problem, np.zeros(2), QueryLedger())
     x = np.array([1.0, -1.0])
-    mean = exhaustive_inner_mean(problem, x, snap, a=2)
+    mean = exhaustive_mean(estimate_inner, problem, x, snap, 2)
     exact = core.inner_full(problem, x, QueryLedger())
     assert np.abs(mean - exact).max() <= 1e-12
 
 
 def test_exhaustive_inner_mean_at_snapshot(affine_small):
     snap = take_snapshot(affine_small, np.ones(3), QueryLedger())
-    mean = exhaustive_inner_mean(affine_small, snap.x_tilde, snap, a=2)
+    mean = exhaustive_mean(estimate_inner, affine_small, snap.x_tilde, snap, 2)
     assert np.abs(mean - snap.g_tilde).max() <= 1e-14
 
 
 def test_exhaustive_jacobian_mean(curved_inner):
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     x = np.array([0.3, 0.9, -0.5])
-    mean = exhaustive_jacobian_mean(curved_inner, x, snap, b=1)
+    mean = exhaustive_mean(estimate_inner_jacobian, curved_inner, x, snap, 1)
     exact = core.inner_jacobian_full(curved_inner, x, QueryLedger())
     assert np.abs(mean - exact).max() <= 1e-12
 
@@ -117,7 +106,7 @@ def test_exhaustive_grad_mean_scvr1_identity(curved_inner):
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     x = np.array([0.2, -0.6, 0.4])
     g_hat = estimate_inner(curved_inner, x, snap, [2, 3], QueryLedger())
-    mean = exhaustive_grad_mean(curved_inner, x, snap, g_hat, "scvr1")
+    mean = exhaustive_grad_mean(curved_inner, x, snap, g_hat)
     jac = core.inner_jacobian_full(curved_inner, x, QueryLedger())
     outer = core.outer_gradient_full(curved_inner, g_hat, QueryLedger())
     assert np.abs(mean - jac.T @ outer).max() <= 1e-12
@@ -125,10 +114,12 @@ def test_exhaustive_grad_mean_scvr1_identity(curved_inner):
 
 def test_exhaustive_grad_mean_scvr2_snapshot_case(curved_inner):
     snap = take_snapshot(curved_inner, np.array([0.1, 0.1, 0.1]), QueryLedger())
-    mean = exhaustive_grad_mean(
-        curved_inner, snap.x_tilde, snap, snap.g_tilde, "scvr2", jac_hat=snap.jac_tilde.dense()
-    )
-    assert np.abs(mean - snap.grad_tilde).max() <= 1e-14
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
+    n = curved_inner.n_outer
+    acc = np.zeros_like(snap.grad_tilde)
+    for i in range(1, n + 1):
+        acc += grad_scvr2(curved_inner, snap, snap.g_tilde, jac_tilde, i, QueryLedger())
+    assert np.abs(acc / n - snap.grad_tilde).max() <= 1e-14
 
 
 def test_bias_witness_on_curved_inner(curved_inner):
@@ -137,19 +128,22 @@ def test_bias_witness_on_curved_inner(curved_inner):
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     x = np.array([0.8, -0.5, 0.9])
     g_hat = estimate_inner(curved_inner, x, snap, [1], QueryLedger())  # noisy
-    mean = exhaustive_grad_mean(curved_inner, x, snap, g_hat, "scvr1")
+    mean = exhaustive_grad_mean(curved_inner, x, snap, g_hat)
     true_grad = core.full_gradient(curved_inner, x, QueryLedger())
     assert np.linalg.norm(mean - true_grad) > 1e-6
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     problem = problems.make_affine_quadratic(n=2, m=10, dim_x=2, dim_w=2, seed=5)
     snap = take_snapshot(problem, np.zeros(2), QueryLedger())
     with pytest.raises(OracleError):
-        exhaustive_inner_mean(problem, np.ones(2), snap, a=7)  # 10^7 tuples
-    # a looser guard admits the same request flagged tighter
+        exhaustive_mean(estimate_inner, problem, np.ones(2), snap, 7)  # 10^7 tuples
+    # a tighter guard refuses a request the default admits
+    monkeypatch.setattr(verification, "ENUM_GUARD", 100)
     with pytest.raises(OracleError):
-        exhaustive_inner_mean(problem, np.ones(2), snap, a=3, guard=100)
+        exhaustive_mean(estimate_inner, problem, np.ones(2), snap, 3)
+    with pytest.raises(OracleError):
+        second_moment(estimate_inner, snap.g_tilde, problem, np.ones(2), snap, 3)
 
 
 # -- second moments ---------------------------------------------------------------
@@ -157,25 +151,19 @@ def test_enumeration_guard():
 
 def test_second_moment_zero_at_snapshot(balanced_affine):
     snap = take_snapshot(balanced_affine, np.ones(3), QueryLedger())
-    sampler = InnerDeviationSampler(balanced_affine, snap.x_tilde, snap, 2)
-    assert empirical_second_moment(sampler) == 0.0
-
-
-def test_second_moment_monte_carlo_close_to_exhaustive(balanced_affine):
-    snap = take_snapshot(balanced_affine, np.zeros(3), QueryLedger())
-    x = np.array([0.5, 0.5, -0.5])
-    sampler = InnerDeviationSampler(balanced_affine, x, snap, 2)
-    exact = empirical_second_moment(sampler)
-    mc = empirical_second_moment(sampler, trials=4000, stream=SampleStream(3))
-    assert mc == pytest.approx(exact, rel=0.15)
+    moment = second_moment(
+        estimate_inner, snap.g_tilde, balanced_affine, snap.x_tilde, snap, 2
+    )
+    assert moment == 0.0
 
 
 def test_jacobian_sampler_exact_scaling(curved_inner):
     """Zero-mean Jacobian deviations: moment scales exactly as 1/B."""
     snap = take_snapshot(curved_inner, np.zeros(3), QueryLedger())
     x = np.array([0.4, -0.9, 0.3])
-    m1 = empirical_second_moment(JacobianDeviationSampler(curved_inner, x, snap, 1))
-    m2 = empirical_second_moment(JacobianDeviationSampler(curved_inner, x, snap, 2))
+    jac_tilde = core.inner_jacobian_full(curved_inner, snap.x_tilde, QueryLedger())
+    m1 = second_moment(estimate_inner_jacobian, jac_tilde, curved_inner, x, snap, 1)
+    m2 = second_moment(estimate_inner_jacobian, jac_tilde, curved_inner, x, snap, 2)
     assert m2 == pytest.approx(m1 / 2, rel=1e-12)
 
 
@@ -185,9 +173,9 @@ def test_oracles_leave_caller_ledgers_alone(affine_small):
     baseline = ledger.total
     x = np.ones(3)
     fd_gradient(affine_small, x)
-    exhaustive_inner_mean(affine_small, x, snap, a=1)
-    exhaustive_jacobian_mean(affine_small, x, snap, b=1)
+    exhaustive_mean(estimate_inner, affine_small, x, snap, 1)
+    exhaustive_mean(estimate_inner_jacobian, affine_small, x, snap, 1)
     g_hat = estimate_inner(affine_small, x, snap, [1], QueryLedger())
-    exhaustive_grad_mean(affine_small, x, snap, g_hat, "scvr1")
-    empirical_second_moment(InnerDeviationSampler(affine_small, x, snap, 1))
+    exhaustive_grad_mean(affine_small, x, snap, g_hat)
+    second_moment(estimate_inner, snap.g_tilde, affine_small, x, snap, 1)
     assert ledger.total == baseline
