@@ -15,25 +15,39 @@ j in 1..m); conversion to 0-based array indexing happens inside the
 concrete problem classes and nowhere else.
 
 Query path contract: every charged query is exactly one call of a
-module-level ``query_*`` helper, which checks the index, charges the
-ledger by 1 and evaluates one component.  ``query_inner_jacobian``
-returns one of three forms of dG_j(x) for that one call and one
-charge: the dense (M, N) matrix by default; the product dG_j(x)^T v
-when a vector ``v`` is given (the form the stochastic steps use); or,
-with ``compact=True``, the problem's compact part of dG_j(x) (the
-(n, d) slice g[:, j] for the embedding problem, the dense matrix for
-the synthetics), from which ``CompositionProblem.assemble_mean_jacobian``
-builds the exact mean Jacobian as an operator (the form the snapshot,
-``full_gradient`` and the svrg step use).  :func:`inner_jacobian_full`
-sums the dense component Jacobians instead; it is the reference that
-the operator and the dense estimators are checked against, and no run
-path calls it.  The finiteness check runs on the returned form.  Each
-helper checks its output for finiteness per query.  For arrays the
-first test is the squared norm ``vdot(out, out)``: any NaN or infinite
-entry makes it non-finite.  Only when it is non-finite does the exact
-elementwise test run, so finite outputs whose squared norm overflows
-still pass, and the set of outputs that raise :class:`EvaluationError`
-is exactly the set with a non-finite entry.
+module-level ``query_<kind>`` helper, which checks the index, charges
+the ledger by 1 and checks that one component's output for finiteness.
+Evaluation may be batched, accounting is not: a helper evaluates its
+component itself, or takes the output as ``value`` when a batch helper
+(``query_inner_values``, ``query_inner_jacobians``,
+``query_outer_values``, ``query_outer_gradients``) has already
+evaluated many components of one kind at one point with one call of
+the problem's batch method.  A batch helper checks every index before
+it evaluates anything, then calls ``query_<kind>(..., value=row)``
+once per index, in batch order, so the first non-finite row raises.
+The estimators' batches and the full evaluations go through the batch
+helpers; the per-component path stays as the reference.
+
+``query_inner_jacobian`` returns one of three forms of dG_j(x) for that
+one call and one charge: the dense (M, N) matrix by default; the
+product dG_j(x)^T v when a vector ``v`` is given (the form the
+stochastic steps use); or, with ``compact=True``, the problem's compact
+part of dG_j(x) (the (d, n) array g[:, j]^T for the embedding problem,
+the dense matrix for the synthetics), from whose stack
+``CompositionProblem.assemble_mean_jacobian`` builds the exact mean
+Jacobian as an operator (the form the snapshot, ``full_gradient`` and
+the svrg step use).  :func:`inner_jacobian_full` sums the dense
+component Jacobians instead, each evaluated on its own; it is the
+reference that the operator and the dense estimators are checked
+against, and no run path calls it.  The finiteness check runs on the
+returned form.  For arrays the first test is the squared norm
+``vdot(out, out)``: any NaN or infinite entry makes it non-finite.  Only when it is non-finite
+does the exact elementwise test run, so finite outputs whose squared
+norm overflows still pass, and the set of outputs that raise
+:class:`EvaluationError` is exactly the set with a non-finite entry.
+
+Batched sums keep the per-component addition order: :func:`sum_rows`
+adds a stack's rows in index order, as the loops it replaced did.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ import abc
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -150,10 +164,22 @@ class CompositionProblem(abc.ABC):
 
     ``compact_jacobian(j, x)`` and ``assemble_mean_jacobian(parts)`` are
     the Jacobian access of full evaluations: the mean Jacobian is built
-    from the m compact parts as a :class:`MeanJacobian`.  The defaults
-    take the dense Jacobian as the part and sum the parts in index
-    order, exactly as :func:`inner_jacobian_full` does; a structured
-    problem overrides both together.
+    from the stack of the m compact parts as a :class:`MeanJacobian`.
+    The defaults take the dense Jacobian as the part and sum the parts
+    in index order, exactly as :func:`inner_jacobian_full` does; a
+    structured problem overrides both together.
+
+    Each per-component evaluation has a batch form that evaluates many
+    components of one kind at one point: ``inner_values(js, x)``,
+    ``inner_vjps(js, x, v)``, ``compact_jacobians(js, x)``,
+    ``outer_values(is_, w)`` and ``outer_gradients(is_, w)`` return the
+    per-component outputs for the indices in order, stacked along a new
+    first axis.  A batch must equal that stack bit for bit, leave its
+    arguments unmodified and have the side effects of the per-component
+    calls it stands for.  The defaults build the stack from the
+    per-component methods, which stay the reference; a problem overrides
+    them with one vectorised kernel per kind.  Batch methods do not check
+    indices or charge queries: the ``core`` batch helpers do.
     """
 
     n_outer: int
@@ -189,14 +215,10 @@ class CompositionProblem(abc.ABC):
         evaluations."""
         return self.inner_component_jacobian(j, x)
 
-    def assemble_mean_jacobian(self, parts: Iterable[np.ndarray]) -> MeanJacobian:
-        """(1/m) sum_j dG_j as a :class:`MeanJacobian`, from the compact
-        parts of j = 1..m, consumed once and in that order."""
-        parts = iter(parts)
-        acc = next(parts).astype(float, copy=True)
-        for part in parts:
-            acc += part
-        return DenseMeanJacobian(acc / self.m_inner)
+    def assemble_mean_jacobian(self, parts: np.ndarray) -> MeanJacobian:
+        """(1/m) sum_j dG_j as a :class:`MeanJacobian`, from the stack of
+        the compact parts of j = 1..m (``compact_jacobians``)."""
+        return DenseMeanJacobian(sum_rows(parts) / self.m_inner)
 
     @abc.abstractmethod
     def outer_component(self, i: int, w: np.ndarray) -> float:
@@ -206,15 +228,56 @@ class CompositionProblem(abc.ABC):
     def outer_component_gradient(self, i: int, w: np.ndarray) -> np.ndarray:
         """grad F_i(w), i in 1..n_outer; returns a length-M vector."""
 
+    # batch forms: one row per index, equal to stacking the methods above
+
+    def inner_values(self, js: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """G_j(x) for j in ``js``; a (len(js), M) array."""
+        return np.stack([self.inner_component(j, x) for j in js])
+
+    def inner_vjps(self, js: Sequence[int], x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dG_j(x)^T v for j in ``js``; a (len(js), N) array."""
+        return np.stack([self.inner_component_vjp(j, x, v) for j in js])
+
+    def compact_jacobians(self, js: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """The compact parts of dG_j(x) for j in ``js``, stacked."""
+        return np.stack([self.compact_jacobian(j, x) for j in js])
+
+    def outer_values(self, is_: Sequence[int], w: np.ndarray) -> np.ndarray:
+        """F_i(w) for i in ``is_``; a length-len(is_) float array."""
+        return np.array([self.outer_component(i, w) for i in is_], dtype=float)
+
+    def outer_gradients(self, is_: Sequence[int], w: np.ndarray) -> np.ndarray:
+        """grad F_i(w) for i in ``is_``; a (len(is_), M) array."""
+        return np.stack([self.outer_component_gradient(i, w) for i in is_])
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum of a C-contiguous stack's rows, added in index order to a
+    zero array: the loop ``acc = zeros; for row in rows: acc += row``,
+    bit for bit.  NumPy reduces axis 0 of such a stack in that order when
+    a row has two or more entries.  With one entry per row the reduce is
+    1-D and sums pairwise, so such stacks are accumulated from the first
+    row instead; adding that to 0.0 turns a -0.0 sum into the loop's
+    +0.0 and changes nothing else."""
+    if rows[0].size > 1:
+        return np.add.reduce(rows, axis=0)
+    return 0.0 + np.add.accumulate(rows, axis=0)[-1]
+
 
 def query_inner_value(
-    problem: CompositionProblem, j: int, x: np.ndarray, ledger: QueryLedger
+    problem: CompositionProblem,
+    j: int,
+    x: np.ndarray,
+    ledger: QueryLedger,
+    *,
+    value: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate G_j(x), charging one inner-value query."""
+    """Evaluate G_j(x), or take ``value`` as G_j(x) when a batch has
+    evaluated it, charging one inner-value query."""
     if not 1 <= j <= problem.m_inner:
         raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_value_queries += 1
-    out = problem.inner_component(j, x)
+    out = problem.inner_component(j, x) if value is None else value
     if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"inner component {j} returned a non-finite value")
     return out
@@ -228,14 +291,18 @@ def query_inner_jacobian(
     v: np.ndarray | None = None,
     *,
     compact: bool = False,
+    value: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate dG_j(x), dG_j(x)^T v when ``v`` is given, or the compact
     part of dG_j(x) when ``compact`` is true (then ``v`` must be None),
-    charging one inner-Jacobian query in each case."""
+    charging one inner-Jacobian query in each case.  A batch that has
+    evaluated the form passes it as ``value``."""
     if not 1 <= j <= problem.m_inner:
         raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
     ledger.inner_jacobian_queries += 1
-    if compact:
+    if value is not None:
+        out = value
+    elif compact:
         out = problem.compact_jacobian(j, x)
     elif v is None:
         out = problem.inner_component_jacobian(j, x)
@@ -247,61 +314,160 @@ def query_inner_jacobian(
 
 
 def query_outer_value(
-    problem: CompositionProblem, i: int, w: np.ndarray, ledger: QueryLedger
+    problem: CompositionProblem,
+    i: int,
+    w: np.ndarray,
+    ledger: QueryLedger,
+    *,
+    value: float | None = None,
 ) -> float:
-    """Evaluate F_i(w), charging one outer-value query."""
+    """Evaluate F_i(w), or take ``value`` as F_i(w) when a batch has
+    evaluated it, charging one outer-value query."""
     if not 1 <= i <= problem.n_outer:
         raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
     ledger.outer_value_queries += 1
-    out = float(problem.outer_component(i, w))
+    out = float(problem.outer_component(i, w) if value is None else value)
     if not math.isfinite(out):
         raise EvaluationError(f"outer component {i} returned a non-finite value")
     return out
 
 
 def query_outer_gradient(
-    problem: CompositionProblem, i: int, w: np.ndarray, ledger: QueryLedger
+    problem: CompositionProblem,
+    i: int,
+    w: np.ndarray,
+    ledger: QueryLedger,
+    *,
+    value: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate grad F_i(w), charging one outer-gradient query."""
+    """Evaluate grad F_i(w), or take ``value`` as grad F_i(w) when a batch
+    has evaluated it, charging one outer-gradient query."""
     if not 1 <= i <= problem.n_outer:
         raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
     ledger.outer_gradient_queries += 1
-    out = problem.outer_component_gradient(i, w)
+    out = problem.outer_component_gradient(i, w) if value is None else value
     if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise EvaluationError(f"outer gradient {i} returned a non-finite value")
     return out
+
+
+def _check_indices(indices: Sequence[int], count: int, side: str) -> None:
+    for k in indices:
+        if not 1 <= k <= count:
+            raise IndexError(f"{side} component index {k} outside 1..{count}")
+
+
+def query_inner_values(
+    problem: CompositionProblem, js: Sequence[int], x: np.ndarray, ledger: QueryLedger
+) -> np.ndarray:
+    """G_j(x) for j in ``js`` from one ``problem.inner_values`` call, as
+    rows; one :func:`query_inner_value` call per index."""
+    _check_indices(js, problem.m_inner, "inner")
+    rows = problem.inner_values(js, x)
+    for j, row in zip(js, rows):
+        query_inner_value(problem, j, x, ledger, value=row)
+    return rows
+
+
+def query_inner_jacobians(
+    problem: CompositionProblem,
+    js: Sequence[int],
+    x: np.ndarray,
+    ledger: QueryLedger,
+    v: np.ndarray | None = None,
+    *,
+    compact: bool = False,
+) -> np.ndarray:
+    """The form of dG_j(x) that :func:`query_inner_jacobian` returns for
+    the same ``v`` and ``compact``, for j in ``js``, as rows from one batch
+    call (the dense form stacks the per-component Jacobians); one
+    :func:`query_inner_jacobian` call per index."""
+    _check_indices(js, problem.m_inner, "inner")
+    if compact:
+        rows = problem.compact_jacobians(js, x)
+    elif v is None:
+        rows = np.stack([problem.inner_component_jacobian(j, x) for j in js])
+    else:
+        rows = problem.inner_vjps(js, x, v)
+    for j, row in zip(js, rows):
+        query_inner_jacobian(problem, j, x, ledger, v, compact=compact, value=row)
+    return rows
+
+
+def query_outer_values(
+    problem: CompositionProblem, is_: Sequence[int], w: np.ndarray, ledger: QueryLedger
+) -> np.ndarray:
+    """F_i(w) for i in ``is_`` from one ``problem.outer_values`` call;
+    one :func:`query_outer_value` call per index."""
+    _check_indices(is_, problem.n_outer, "outer")
+    rows = problem.outer_values(is_, w)
+    for i, row in zip(is_, rows):
+        query_outer_value(problem, i, w, ledger, value=row)
+    return rows
+
+
+def query_outer_gradients(
+    problem: CompositionProblem, is_: Sequence[int], w: np.ndarray, ledger: QueryLedger
+) -> np.ndarray:
+    """grad F_i(w) for i in ``is_`` from one ``problem.outer_gradients``
+    call, as rows; one :func:`query_outer_gradient` call per index."""
+    _check_indices(is_, problem.n_outer, "outer")
+    rows = problem.outer_gradients(is_, w)
+    for i, row in zip(is_, rows):
+        query_outer_gradient(problem, i, w, ledger, value=row)
+    return rows
+
+
+# Output bytes a full evaluation asks of one batch call.  The embedding
+# problem's outputs grow with n, so its full evaluations take the m or n
+# components a block at a time and keep the memory of the per-component
+# loop, O(n * M) per block instead of O(n^2 d) at once.
+FULL_BLOCK_BYTES = 1 << 18
+
+
+def _index_blocks(problem: CompositionProblem, count: int):
+    """1..count as consecutive ranges of at most FULL_BLOCK_BYTES of
+    length-M outputs."""
+    size = max(1, FULL_BLOCK_BYTES // (8 * problem.dim_w))
+    for start in range(1, count + 1, size):
+        yield range(start, min(start + size, count + 1))
+
+
+def _full_mean(query_rows, problem: CompositionProblem, count: int, point, ledger):
+    """(1/count) sum_k of the rows ``query_rows`` returns for k = 1..count,
+    queried a block at a time and added in index order."""
+    acc = None
+    for block in _index_blocks(problem, count):
+        rows = query_rows(problem, block, point, ledger)
+        acc = sum_rows(rows if acc is None else np.concatenate([acc[None], rows]))
+    return acc / count
 
 
 def inner_full(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Exact inner value G(x) = (1/m) sum_j G_j(x).  Costs m queries."""
-    acc = query_inner_value(problem, 1, x, ledger).astype(float, copy=True)
-    for j in range(2, problem.m_inner + 1):
-        acc += query_inner_value(problem, j, x, ledger)
-    return acc / problem.m_inner
+    return _full_mean(query_inner_values, problem, problem.m_inner, x, ledger)
 
 
 def inner_jacobian_full(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x) as a dense matrix,
-    summed from the dense component Jacobians: the reference for
+    summed from the stacked dense component Jacobians: the reference for
     :func:`mean_jacobian`.  Costs m queries."""
-    acc = query_inner_jacobian(problem, 1, x, ledger).astype(float, copy=True)
-    for j in range(2, problem.m_inner + 1):
-        acc += query_inner_jacobian(problem, j, x, ledger)
-    return acc / problem.m_inner
+    js = range(1, problem.m_inner + 1)
+    return sum_rows(query_inner_jacobians(problem, js, x, ledger)) / problem.m_inner
 
 
 def mean_jacobian(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> MeanJacobian:
     """Exact mean Jacobian dG(x) as a :class:`MeanJacobian`, assembled by
-    the problem from m compact queries.  Costs m queries."""
+    the problem from the stack of m compact queries.  Costs m queries."""
+    js = range(1, problem.m_inner + 1)
     return problem.assemble_mean_jacobian(
-        query_inner_jacobian(problem, j, x, ledger, compact=True)
-        for j in range(1, problem.m_inner + 1)
+        query_inner_jacobians(problem, js, x, ledger, compact=True)
     )
 
 
@@ -309,10 +475,7 @@ def outer_gradient_full(
     problem: CompositionProblem, w: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Exact mean outer gradient grad F(w).  Costs n queries."""
-    acc = query_outer_gradient(problem, 1, w, ledger).astype(float, copy=True)
-    for i in range(2, problem.n_outer + 1):
-        acc += query_outer_gradient(problem, i, w, ledger)
-    return acc / problem.n_outer
+    return _full_mean(query_outer_gradients, problem, problem.n_outer, w, ledger)
 
 
 def full_gradient(
@@ -329,9 +492,11 @@ def objective(
 ) -> float:
     """Exact objective value f(x).  Costs m+n queries."""
     value = inner_full(problem, x, ledger)
-    acc = query_outer_value(problem, 1, value, ledger)
-    for i in range(2, problem.n_outer + 1):
-        acc += query_outer_value(problem, i, value, ledger)
+    # a 1-D reduce would sum pairwise: the values are added in a loop
+    acc = None
+    for block in _index_blocks(problem, problem.n_outer):
+        for out in query_outer_values(problem, block, value, ledger).tolist():
+            acc = out if acc is None else acc + out
     return acc / problem.n_outer
 
 

@@ -21,6 +21,13 @@ the reference the verification suite compares against.  They take the
 snapshot's dense Jacobian from the per-component sum
 ``core.inner_jacobian_full`` on a private ledger, never from the
 operator they check, and charge the caller's ledger 2B or 2b queries.
+
+``estimate_inner`` and the mini-batch gradient estimators evaluate each
+half of a batch (the draws at x, the same draws at x_tilde) with one
+batch call through the ``core`` batch helpers, which still charge and
+check one query at a time, and add the rows in draw order as the
+per-draw loops did.  ``grad_scvr1`` and the dense reference estimators
+query one component at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +46,11 @@ from scvr.core import (
     mean_jacobian,
     outer_gradient_full,
     query_inner_jacobian,
-    query_inner_value,
+    query_inner_jacobians,
+    query_inner_values,
     query_outer_gradient,
+    query_outer_gradients,
+    sum_rows,
 )
 
 
@@ -89,12 +99,9 @@ def estimate_inner(
     Costs 2A queries.  Unbiased for G(x) under uniform batches.
     """
     _require_batch(batch)
-    acc = np.zeros_like(snap.g_tilde)
-    for j in batch:
-        fresh = query_inner_value(problem, j, x, ledger)
-        anchor = query_inner_value(problem, j, snap.x_tilde, ledger)
-        acc += fresh - anchor
-    return acc / len(batch) + snap.g_tilde
+    fresh = query_inner_values(problem, batch, x, ledger)
+    anchor = query_inner_values(problem, batch, snap.x_tilde, ledger)
+    return sum_rows(fresh - anchor) / len(batch) + snap.g_tilde
 
 
 def estimate_inner_jacobian(
@@ -201,11 +208,8 @@ def _mean_outer_gradients(
     """u_x, u_t = (1/b) sum_{i in batch} grad F_i at g_hat and at
     G(x_tilde).  Costs 2b queries."""
     _require_batch(outer_batch)
-    u_x = np.zeros_like(snap.g_tilde)
-    u_t = np.zeros_like(snap.g_tilde)
-    for i in outer_batch:
-        u_x += query_outer_gradient(problem, i, g_hat, ledger)
-        u_t += query_outer_gradient(problem, i, snap.g_tilde, ledger)
+    u_x = sum_rows(query_outer_gradients(problem, outer_batch, g_hat, ledger))
+    u_t = sum_rows(query_outer_gradients(problem, outer_batch, snap.g_tilde, ledger))
     return u_x / len(outer_batch), u_t / len(outer_batch)
 
 
@@ -220,12 +224,9 @@ def _mean_product_difference(
 ) -> np.ndarray:
     """(1/B) sum_{j in batch} [ dG_j(x)^T u_fresh - dG_j(x_tilde)^T u_anchor ].
     Costs 2B queries."""
-    acc = np.zeros_like(snap.grad_tilde)
-    for j in jac_batch:
-        fresh = query_inner_jacobian(problem, j, x, ledger, u_fresh)
-        anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger, u_anchor)
-        acc += fresh - anchor
-    return acc / len(jac_batch)
+    fresh = query_inner_jacobians(problem, jac_batch, x, ledger, u_fresh)
+    anchor = query_inner_jacobians(problem, jac_batch, snap.x_tilde, ledger, u_anchor)
+    return sum_rows(fresh - anchor) / len(jac_batch)
 
 
 def grad_minibatch_v1_vjp(

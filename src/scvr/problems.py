@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scvr.core import CompositionProblem, SmoothnessConstants
+from scvr.core import FULL_BLOCK_BYTES, CompositionProblem, SmoothnessConstants, sum_rows
 
 
 class MatrixParseError(ValueError):
@@ -206,6 +206,25 @@ class NonconvexSyntheticProblem(CompositionProblem):
     def outer_component_gradient(self, i, w):
         return _rho_prime(w - self._targets[i - 1])
 
+    # batch forms: the same expressions on the rows mats[j - 1] and
+    # targets[i - 1] taken as stacks
+
+    def inner_values(self, js, x):
+        idx = [j - 1 for j in js]
+        return self.mats.take(idx, axis=0) @ x + self.offs.take(idx, axis=0)
+
+    def inner_vjps(self, js, x, v):
+        return self.mats.take([j - 1 for j in js], axis=0).transpose(0, 2, 1) @ v
+
+    def compact_jacobians(self, js, x):
+        return self.mats.take([j - 1 for j in js], axis=0)
+
+    def outer_values(self, is_, w):
+        return _rho(w - self.targets.take([i - 1 for i in is_], axis=0)).sum(axis=1)
+
+    def outer_gradients(self, is_, w):
+        return _rho_prime(w - self.targets.take([i - 1 for i in is_], axis=0))
+
 
 def make_nonconvex_synthetic(
     n: int, m: int, dim_x: int, dim_w: int, seed: int = 0
@@ -307,12 +326,18 @@ class SneProblem(CompositionProblem):
     The Jacobian of G_j has the identity as its top block, and its tail
     row t holds g[t, j] at point t and -g[t, j] at point j, with
     g[t, j] = -2n k(x_t, x_j) (x_t - x_j) (zero for t = j).  The compact
-    part of dG_j is the (n, d) slice g[:, j], and the mean Jacobian is
-    the operator :class:`SneMeanJacobian` built from the n slices, so
-    full evaluations form no (N + n, N) array.
+    part of dG_j is the (d, n) array g[:, j]^T, and the mean Jacobian is
+    the operator :class:`SneMeanJacobian` built from the stack of the n
+    parts, so full evaluations form no (N + n, N) array.
 
-    Smoothness constants are empirical estimates (sampled), suitable for
-    parameter suggestion only.
+    The batch forms evaluate one (b, n, d) block of point differences
+    per call.  Their sums over the d coordinates add the columns in
+    order, which is what NumPy's reduce over a last axis of fewer than 8
+    entries does, without its one inner-loop call per point; at d >= 8
+    that reduce sums pairwise, and they call it.  So every batch equals
+    the stacked per-component outputs bit for bit, at every d.
+
+    The problem declares no smoothness constants.
     """
 
     LOG_FLOOR = 1e-12
@@ -349,6 +374,15 @@ class SneProblem(CompositionProblem):
     def _points(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[: self.dim_x].reshape(self.n_points, self.embed_dim)
 
+    @staticmethod
+    def _differences(pts: np.ndarray, idx, out: np.ndarray | None = None) -> np.ndarray:
+        """pts - pts[j] for each j in ``idx``: a (len(idx), n, d) block."""
+        if out is None:
+            out = np.empty((len(idx),) + pts.shape)
+        for k in range(pts.shape[1]):
+            np.subtract(pts[:, k], pts[idx, k][:, None], out=out[:, :, k])
+        return out
+
     def inner_component(self, j, x):
         out = np.empty(self.dim_w)
         out[: self.dim_x] = x
@@ -379,22 +413,38 @@ class SneProblem(CompositionProblem):
         return jac
 
     def compact_jacobian(self, j, x):
-        """g[:, j], the (n, d) array whose row t is the derivative of
-        n k(x_t, x_j) in x_t; row j is zero."""
-        pts = self._points(x)
-        diff = pts - pts[j - 1]
-        kern = np.exp(-np.add.reduce(diff * diff, axis=1))
-        diff *= ((-2.0 * self.n_points) * kern)[:, None]
+        """g[:, j]^T, the (d, n) array whose column t is the derivative of
+        n k(x_t, x_j) in x_t; column j is zero.  The squared distances
+        add the d coordinate rows in order (the rows of a C-ordered array:
+        on the transposed view NumPy would sum them pairwise from d = 8)."""
+        pts = self._points(x).T.copy()
+        diff = pts - pts[:, j - 1 : j]
+        kern = np.exp(-np.add.reduce(diff * diff, axis=0))
+        diff *= (-2.0 * self.n_points) * kern
         return diff
 
+    def compact_jacobians(self, js, x):
+        pts = self._points(x).T
+        idx = np.asarray(js) - 1
+        out = np.empty((len(idx), self.embed_dim, self.n_points))
+        # bound the temporaries: the stack itself is the snapshot's operator
+        rows = max(1, FULL_BLOCK_BYTES // out[0].nbytes)
+        for start in range(0, len(idx), rows):
+            block = out[start : start + rows]
+            np.subtract(pts, pts.T[idx[start : start + rows], :, None], out=block)
+            kern = np.add.reduce(block * block, axis=1)
+            np.negative(kern, out=kern)
+            np.exp(kern, out=kern)
+            kern *= -2.0 * self.n_points
+            block *= kern[:, None, :]
+        return out
+
     def assemble_mean_jacobian(self, parts):
+        """The operator from the (n, d, n) stack of compact parts, whose
+        rows are the operator's slices as they lie."""
         n, d = self.n_points, self.embed_dim
-        slices = np.empty((n, d, n))
-        row_sums = np.zeros((n, d))
-        for j, part in enumerate(parts):
-            slices[j] = part.T
-            row_sums += part
-        return SneMeanJacobian(slices.reshape(n * d, n), row_sums)
+        row_sums = np.ascontiguousarray(sum_rows(parts).T)
+        return SneMeanJacobian(parts.reshape(n * d, n), row_sums)
 
     def inner_component_vjp(self, j, x, v):
         """dG_j(x)^T v in O(N) without forming the Jacobian: the identity
@@ -413,13 +463,44 @@ class SneProblem(CompositionProblem):
         out[(j - 1) * d : j * d] -= np.add.reduce(diff, axis=0)
         return out
 
-    def _clamped_normalizers(self, w: np.ndarray) -> np.ndarray:
+    def inner_values(self, js, x):
+        idx = np.asarray(js) - 1
+        out = np.empty((len(idx), self.dim_w))
+        out[:, : self.dim_x] = x
+        sq = self._differences(self._points(x), idx)
+        sq *= sq
+        tail = _coordinate_sums(sq, out=out[:, self.dim_x :])
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        tail *= self.n_points
+        tail -= 1.0
+        return out
+
+    def inner_vjps(self, js, x, v):
+        n, d = self.n_points, self.embed_dim
+        idx = np.asarray(js) - 1
+        v = np.asarray(v)
+        diff = self._differences(self._points(x), idx)
+        coef = _coordinate_sums(diff * diff)
+        np.negative(coef, out=coef)
+        np.exp(coef, out=coef)
+        coef *= v[self.dim_x :]
+        coef *= -2.0 * n
+        _scale_points(diff, coef)
+        out = diff.reshape(len(idx), self.dim_x) + v[: self.dim_x]
+        out.reshape(len(idx), n, d)[np.arange(len(idx)), idx] -= _point_sums(diff)
+        return out
+
+    def _clamped_normalizers(self, w: np.ndarray, calls: int = 1) -> np.ndarray:
+        """The normalizer coordinates of w clamped at the log floor, adding
+        the clamped entries to ``clamp_events`` once for each of the
+        ``calls`` component evaluations that use them."""
         s = np.asarray(w)[self.dim_x :]
         # fmin skips NaN, so this one-pass test fires exactly when some
         # entry is below the floor
         if np.fmin.reduce(s) < self.LOG_FLOOR:
             low = s < self.LOG_FLOOR
-            self.clamp_events += int(low.sum())
+            self.clamp_events += calls * int(low.sum())
             return np.maximum(s, self.LOG_FLOOR)
         return s
 
@@ -444,44 +525,31 @@ class SneProblem(CompositionProblem):
         np.divide(n * weights, s, out=out[self.dim_x :])
         return out
 
-    def _estimate_constants(self) -> SmoothnessConstants:
-        """Estimates of the regularity constants (suggestion only) from 6
-        seeded points; B_G is exact at those points."""
-        samples = 6
-        rng = np.random.default_rng(2024)
-        xs = [rng.normal(size=self.dim_x) * 0.5 for _ in range(samples)]
-        b_g = l_g = b_f = l_f_outer = l_f = 0.0
-        comps = range(1, self.m_inner + 1)
-        for a in range(samples):
-            x = xs[a]
-            y = xs[(a + 1) % samples]
-            dx = float(np.linalg.norm(x - y))
-            gx = np.stack([self.inner_component(j, x) for j in comps])
-            gy = np.stack([self.inner_component(j, y) for j in comps])
-            jx = [self.inner_component_jacobian(j, x) for j in comps]
-            jy = [self.inner_component_jacobian(j, y) for j in comps]
-            wx, wy = gx.mean(axis=0), gy.mean(axis=0)
-            b_g = max(b_g, _max_spectral_norm(np.stack(jx)))
-            for j in range(self.m_inner):
-                l_g = max(l_g, float(np.linalg.norm(jx[j] - jy[j])) / dx)
-            for i in comps:
-                fg_x = self.outer_component_gradient(i, wx)
-                fg_y = self.outer_component_gradient(i, wy)
-                b_f = max(b_f, float(np.linalg.norm(fg_x)))
-                l_f_outer = max(
-                    l_f_outer,
-                    float(np.linalg.norm(fg_x - fg_y)) / max(np.linalg.norm(wx - wy), 1e-12),
-                )
-                for j in range(self.m_inner):
-                    comp = float(np.linalg.norm(jx[j].T @ fg_x - jy[j].T @ fg_y))
-                    l_f = max(l_f, comp / dx)
-        return SmoothnessConstants(
-            b_g=max(b_g, 1e-6),
-            l_g=max(l_g, 0.0),
-            b_f=max(b_f, 1e-6),
-            l_f_outer=max(l_f_outer, 1e-6),
-            l_f=max(l_f, 1e-6),
+    def outer_values(self, is_, w):
+        idx = np.asarray(is_) - 1
+        log_s = np.log(self._clamped_normalizers(w, len(idx)))
+        sq = self._differences(self._points(w), idx)
+        sq *= sq
+        terms = _coordinate_sums(sq)
+        terms += log_s
+        # one dot per row, on the same strided weight column as per component
+        return np.array(
+            [self.n_points * float(self.p_matrix[:, i] @ row) for i, row in zip(idx, terms)]
         )
+
+    def outer_gradients(self, is_, w):
+        n, d = self.n_points, self.embed_dim
+        idx = np.asarray(is_) - 1
+        s = self._clamped_normalizers(w, len(idx))
+        weights = self.p_matrix[:, idx].T
+        out = np.empty((len(idx), self.dim_w))
+        gblocks = self._differences(
+            self._points(w), idx, out=out[:, : self.dim_x].reshape(len(idx), n, d)
+        )
+        _scale_points(gblocks, (2.0 * n) * weights)
+        gblocks[np.arange(len(idx)), idx] -= _point_sums(gblocks)
+        np.divide(n * weights, s, out=out[:, self.dim_x :])
+        return out
 
     def to_json(self) -> str:
         sigma = self.sigma
@@ -547,6 +615,37 @@ class SneProblem(CompositionProblem):
                 f"problem JSON: field 'p_matrix' has shape {p.shape}, n = {n} needs ({n}, {n})"
             )
         return cls(p, int(obj["embed_dim"]), sigma)
+
+
+def _coordinate_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.add.reduce(block, axis=-1, out=out)`` bit for bit.  Below 8
+    entries that reduce adds them in index order to 0.0, as the column
+    adds here do without one inner-loop call per row; from 8 on it sums
+    pairwise and runs as it is."""
+    if block.shape[-1] >= 8:
+        return np.add.reduce(block, axis=-1, out=out)
+    out = np.add(0.0, block[..., 0], out=out)
+    for k in range(1, block.shape[-1]):
+        out += block[..., k]
+    return out
+
+
+def _scale_points(block: np.ndarray, factors: np.ndarray) -> None:
+    """block[b, t, :] *= factors[b, t] for a (b, n, d) block."""
+    for k in range(block.shape[2]):
+        block[:, :, k] *= factors
+
+
+def _point_sums(block: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(block[k], axis=0)`` for each k of a (b, n, d) block,
+    bit for bit.  For d >= 2 that reduce adds the n points in order to
+    0.0; accumulating along axis 1 adds them in order in n-long inner
+    loops instead of n loops of length d, and adding the result to 0.0
+    turns a -0.0 into the reduce's +0.0.  For d = 1 it is a 1-D reduce,
+    which sums pairwise, as the batched reduce does too."""
+    if block.shape[2] == 1:
+        return np.add.reduce(block, axis=1)
+    return 0.0 + np.add.accumulate(block, axis=1)[:, -1]
 
 
 class SneMeanJacobian:

@@ -518,11 +518,17 @@ def _nan_outer_gradient(self, i, w):
     return np.full(self.dim_w, np.nan)
 
 
+def _nan_outer_gradients(self, is_, w):
+    return np.full((len(is_), self.dim_w), np.nan)
+
+
 def test_embed_non_finite_component_is_diverged(tmp_path, capsys, monkeypatch):
     data, _ = problems.make_cluster_data(12, clusters=2, dim=5, seed=2)
     data_path = tmp_path / "clusters.csv"
     problems.save_matrix(data, data_path)
+    # both the per-component and the batch form, whichever the run calls
     monkeypatch.setattr(problems.SneProblem, "outer_component_gradient", _nan_outer_gradient)
+    monkeypatch.setattr(problems.SneProblem, "outer_gradients", _nan_outer_gradients)
     code = main(["embed", "--data", str(data_path), "--epochs", "1", "--steps", "2",
                  "--output", str(tmp_path / "emb.csv")])
     assert code == harness.EXIT_DIVERGED

@@ -265,15 +265,13 @@ def _count_query_calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("variant", optimizers.VARIANTS)
-def test_query_helper_calls_equal_ledger_by_kind(variant, monkeypatch):
-    problem = problems.make_nonconvex_synthetic(n=7, m=6, dim_x=3, dim_w=4, seed=2)
+def _check_calls_equal_ledger_by_kind(problem, eta, variant, monkeypatch):
     counts = _count_query_calls(monkeypatch)
     cfg = OptimizerConfig(
-        eta=0.05, epochs_s=3, inner_k=4, variant=variant,
+        eta=eta, epochs_s=3, inner_k=4, variant=variant,
         sample_a=3, sample_b=2, batch_b=2, seed=5, record_every=3,
     )
-    result = optimizers.run(problem, cfg, x0=np.full(3, 0.5))
+    result = optimizers.run(problem, cfg, x0=np.full(problem.dim_x, 0.5))
     led = result.ledger
     by_kind = (
         led.inner_value_queries, led.inner_jacobian_queries,
@@ -289,3 +287,16 @@ def test_query_helper_calls_equal_ledger_by_kind(variant, monkeypatch):
         "inner_value": 2 * m * records, "inner_jacobian": m * records,
         "outer_value": n * records, "outer_gradient": n * records,
     }
+
+
+@pytest.mark.parametrize("variant", optimizers.VARIANTS)
+def test_query_helper_calls_equal_ledger_by_kind(variant, monkeypatch):
+    problem = problems.make_nonconvex_synthetic(n=7, m=6, dim_x=3, dim_w=4, seed=2)
+    _check_calls_equal_ledger_by_kind(problem, 0.05, variant, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", optimizers.VARIANTS)
+def test_query_helper_calls_equal_ledger_by_kind_sne(variant, monkeypatch):
+    data, _ = problems.make_cluster_data(7, clusters=2, dim=5, seed=3)
+    problem = problems.build_sne(data, sigma=2.0, embed_dim=2)
+    _check_calls_equal_ledger_by_kind(problem, 0.01, variant, monkeypatch)
