@@ -247,7 +247,8 @@ def test_batch_helper_returns_the_rows_for_one_charge_each(helper):
     query, kwargs, _, kind = BATCH_HELPERS[helper]
     rows = _rows(helper)
     ledger = QueryLedger()
-    assert query(PreparedBatchProblem(rows), [3, 1, 3], np.zeros(3), ledger, **kwargs) is not None
+    out = query(PreparedBatchProblem(rows), [3, 1, 3], np.zeros(3), ledger, **kwargs)
+    assert out.tobytes() == rows[:3].tobytes()
     assert ledger.total == getattr(ledger, kind) == 3
 
 
