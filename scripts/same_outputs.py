@@ -17,6 +17,9 @@ collects:
 - the ``scvr check-params`` JSON for (n, m, b) in (100, 100, 1),
   (1000, 50, 4) and (10000, 10000, 2)
 - the stdout of ``scvr verify``
+- the coordinates CSV and stdout of ``scvr embed --algorithm <v>`` for
+  each of the seven variants, on a small ``make_cluster_data`` CSV
+  (2 epochs x 4 steps)
 
 It prints one line per output, ``identical`` or ``DIFFERENT``, and exits
 0 if every output is identical, 1 otherwise.
@@ -50,6 +53,8 @@ CRITERION_10 = {
 }
 ALL_VARIANTS = ("scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "gd", "sgd", "svrg")
 CHECK_PARAMS_SIZES = ((100, 100, 1), (1000, 50, 4), (10000, 10000, 2))
+# make_cluster_data(n_points, clusters, dim, seed) of the embed runs
+EMBED_DATA = (20, 2, 6, 4)
 
 
 def _trace_csv(config: dict, workdir: str, name: str) -> str:
@@ -89,6 +94,25 @@ def _verify_stdout() -> str:
     return out.getvalue()
 
 
+def _embed_outputs(variant: str, data_path: str, workdir: str) -> tuple[str, str]:
+    """The coordinates CSV and stdout of ``scvr embed`` with ``variant``;
+    the temporary directory in stdout reads ``<workdir>``."""
+    import contextlib
+    import io
+
+    from scvr import harness
+
+    csv_path = os.path.join(workdir, f"embed_{variant}.csv")
+    argv = ["embed", "--data", data_path, "--algorithm", variant, "--epochs", "2",
+            "--steps", "4", "--output", csv_path]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if harness.main(argv) != 0:
+            raise RuntimeError(f"scvr embed failed with --algorithm {variant}")
+    with open(csv_path, encoding="utf-8") as fh:
+        return fh.read(), out.getvalue().replace(workdir, "<workdir>")
+
+
 def probe(root: str, seeds: list[int]) -> None:
     """Print one JSON record of this process's outputs.  Runs inside the
     checkout ``root``, whose ``src/`` and ``perfbench/`` are on the path."""
@@ -123,6 +147,16 @@ def probe(root: str, seeds: list[int]) -> None:
         for n, m, b in CHECK_PARAMS_SIZES:
             record[f"check-params n={n} m={m} b={b}"] = _check_params(n, m, b, workdir)
         record["verify"] = _verify_stdout()
+        from scvr import problems
+
+        data_path = os.path.join(workdir, "clusters.csv")
+        n_points, clusters, dim, seed = EMBED_DATA
+        data, _ = problems.make_cluster_data(n_points, clusters=clusters, dim=dim, seed=seed)
+        problems.save_matrix(data, data_path)
+        for variant in ALL_VARIANTS:
+            coords, stdout = _embed_outputs(variant, data_path, workdir)
+            record[f"embed {variant} coordinates"] = coords
+            record[f"embed {variant} stdout"] = stdout
     print(json.dumps(record))
 
 

@@ -14,37 +14,34 @@ Component indices are 1-based in every public signature (i in 1..n,
 j in 1..m); conversion to 0-based array indexing happens inside the
 concrete problem classes and nowhere else.
 
-Query path contract: every charged query is exactly one call of a
-module-level ``query_<kind>`` helper, which checks the index, charges
-the ledger by 1 and checks that one component's output for finiteness.
-Evaluation may be batched, accounting is not: a helper evaluates its
-component itself, or takes the output as ``value`` when a batch helper
-(``query_inner_values``, ``query_inner_jacobians``,
-``query_outer_values``, ``query_outer_gradients``) has already
-evaluated many components of one kind at one point with one call of
-the problem's batch method.  A batch helper checks every index before
-it evaluates anything, then calls ``query_<kind>(..., value=row)``
-once per index, in batch order, so the first non-finite row raises.
-The estimators' batches and the full evaluations go through the batch
-helpers; the per-component path stays as the reference.
+Query path contract: a charged query is evaluated only by a batch
+helper (``query_inner_values``, ``query_inner_jacobians``,
+``query_outer_values``, ``query_outer_gradients``).  It checks every
+index, then evaluates the components of one kind at one point with one
+call of the problem's batch method.  Accounting is not batched: the
+helper then calls the module-level ``query_<kind>`` once per index, in
+batch order, which charges the ledger by 1 and checks that index's row
+for finiteness, so the first non-finite row raises.  A single query is a
+one-index batch.  The per-component methods stay as the reference; the
+default batch methods and the dense form below are what call them.
 
-``query_inner_jacobian`` returns one of three forms of dG_j(x) for that
-one call and one charge: the dense (M, N) matrix by default; the
-product dG_j(x)^T v when a vector ``v`` is given (the form the
-stochastic steps use); or, with ``compact=True``, the problem's compact
-part of dG_j(x) (the (d, n) array g[:, j]^T for the embedding problem,
-the dense matrix for the synthetics), from whose stack
+``query_inner_jacobians`` returns one of three forms of dG_j(x), one
+query each: the dense (M, N) matrix by default; the product
+dG_j(x)^T v when a vector ``v`` is given (the form the stochastic steps
+use); or, with ``compact=True``, the problem's compact part of dG_j(x)
+(the (d, n) array g[:, j]^T for the embedding problem, the dense matrix
+for the synthetics), from whose stack
 ``CompositionProblem.assemble_mean_jacobian`` builds the exact mean
 Jacobian as an operator (the form the snapshot, ``full_gradient`` and
 the svrg step use).  :func:`inner_jacobian_full` sums the dense
-component Jacobians instead, each evaluated on its own; it is the
-reference that the operator and the dense estimators are checked
-against, and no run path calls it.  The finiteness check runs on the
-returned form.  For arrays the first test is the squared norm
-``vdot(out, out)``: any NaN or infinite entry makes it non-finite.  Only when it is non-finite
-does the exact elementwise test run, so finite outputs whose squared
-norm overflows still pass, and the set of outputs that raise
-:class:`EvaluationError` is exactly the set with a non-finite entry.
+component Jacobians instead; it is the reference that the operator and
+the dense estimators are checked against, and no run path calls it.
+The finiteness check runs on the returned form.  For arrays the first
+test is the squared norm ``vdot(row, row)``: any NaN or infinite entry
+makes it non-finite.  Only when it is non-finite does the exact
+elementwise test run, so finite rows whose squared norm overflows still
+pass, and the set of rows that raise :class:`EvaluationError` is
+exactly the set with a non-finite entry.
 
 Batched sums keep the per-component addition order: :func:`sum_rows`
 adds a stack's rows in index order, as the loops it replaced did.
@@ -76,8 +73,8 @@ class SmoothnessConstants:
     l_f_outer  Lipschitz constant of the outer-component gradients
     l_f        Lipschitz constant of the composite stochastic gradient
 
-    Values may be exact (synthetic fixtures) or empirical estimates; they
-    feed parameter suggestions and theory diagnostics, never correctness.
+    Values are exact or nominal (see each problem); they feed parameter
+    suggestions and theory diagnostics, never correctness.
     """
 
     b_g: float
@@ -147,7 +144,7 @@ class CompositionProblem(abc.ABC):
     m_inner : number of inner components G_j
     dim_x   : decision dimension N
     dim_w   : inner-value dimension M
-    constants : declared or estimated :class:`SmoothnessConstants`,
+    constants : the problem's :class:`SmoothnessConstants`,
                 computed by ``_estimate_constants`` on first read and
                 cached on the instance, so building a problem pays only
                 for what a run reads (no optimizer run reads them)
@@ -156,8 +153,8 @@ class CompositionProblem(abc.ABC):
     bitwise-identical outputs.  They are therefore safe to call
     concurrently; only the ledger needs per-worker separation.
 
-    ``inner_component_vjp(j, x, v)`` is the Jacobian access the
-    stochastic steps use: the product dG_j(x)^T v.  It is pure in the
+    ``inner_component_vjp(j, x, v)`` is the product dG_j(x)^T v, the
+    Jacobian access of the stochastic steps.  It is pure in the
     same sense and must not modify ``v``.  The default multiplies the
     dense Jacobian; a problem whose Jacobian has structure overrides it
     so that no (M, N) array is built.
@@ -178,8 +175,10 @@ class CompositionProblem(abc.ABC):
     arguments unmodified and have the side effects of the per-component
     calls it stands for.  The defaults build the stack from the
     per-component methods, which stay the reference; a problem overrides
-    them with one vectorised kernel per kind.  Batch methods do not check
-    indices or charge queries: the ``core`` batch helpers do.
+    them with one vectorised kernel per kind.  The batch methods are the
+    only evaluation a run makes: the ``core`` batch helpers call them,
+    after checking the indices, and charge each row with one
+    ``query_<kind>`` call.
     """
 
     n_outer: int
@@ -264,91 +263,36 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(rows, axis=0)[-1]
 
 
-def query_inner_value(
-    problem: CompositionProblem,
-    j: int,
-    x: np.ndarray,
-    ledger: QueryLedger,
-    *,
-    value: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate G_j(x), or take ``value`` as G_j(x) when a batch has
-    evaluated it, charging one inner-value query."""
-    if not 1 <= j <= problem.m_inner:
-        raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
+def query_inner_value(j: int, row: np.ndarray, ledger: QueryLedger) -> None:
+    """Charge one inner-value query for the row G_j(x) a batch returned,
+    and check that row."""
     ledger.inner_value_queries += 1
-    out = problem.inner_component(j, x) if value is None else value
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
         raise EvaluationError(f"inner component {j} returned a non-finite value")
-    return out
 
 
-def query_inner_jacobian(
-    problem: CompositionProblem,
-    j: int,
-    x: np.ndarray,
-    ledger: QueryLedger,
-    v: np.ndarray | None = None,
-    *,
-    compact: bool = False,
-    value: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate dG_j(x), dG_j(x)^T v when ``v`` is given, or the compact
-    part of dG_j(x) when ``compact`` is true (then ``v`` must be None),
-    charging one inner-Jacobian query in each case.  A batch that has
-    evaluated the form passes it as ``value``."""
-    if not 1 <= j <= problem.m_inner:
-        raise IndexError(f"inner component index {j} outside 1..{problem.m_inner}")
+def query_inner_jacobian(j: int, row: np.ndarray, ledger: QueryLedger) -> None:
+    """Charge one inner-Jacobian query for the row a batch returned (any
+    form of dG_j(x)), and check that row."""
     ledger.inner_jacobian_queries += 1
-    if value is not None:
-        out = value
-    elif compact:
-        out = problem.compact_jacobian(j, x)
-    elif v is None:
-        out = problem.inner_component_jacobian(j, x)
-    else:
-        out = problem.inner_component_vjp(j, x, v)
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
         raise EvaluationError(f"inner Jacobian {j} returned a non-finite value")
-    return out
 
 
-def query_outer_value(
-    problem: CompositionProblem,
-    i: int,
-    w: np.ndarray,
-    ledger: QueryLedger,
-    *,
-    value: float | None = None,
-) -> float:
-    """Evaluate F_i(w), or take ``value`` as F_i(w) when a batch has
-    evaluated it, charging one outer-value query."""
-    if not 1 <= i <= problem.n_outer:
-        raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
+def query_outer_value(i: int, row: float, ledger: QueryLedger) -> None:
+    """Charge one outer-value query for the value F_i(w) a batch returned,
+    and check it."""
     ledger.outer_value_queries += 1
-    out = float(problem.outer_component(i, w) if value is None else value)
-    if not math.isfinite(out):
+    if not math.isfinite(row):
         raise EvaluationError(f"outer component {i} returned a non-finite value")
-    return out
 
 
-def query_outer_gradient(
-    problem: CompositionProblem,
-    i: int,
-    w: np.ndarray,
-    ledger: QueryLedger,
-    *,
-    value: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate grad F_i(w), or take ``value`` as grad F_i(w) when a batch
-    has evaluated it, charging one outer-gradient query."""
-    if not 1 <= i <= problem.n_outer:
-        raise IndexError(f"outer component index {i} outside 1..{problem.n_outer}")
+def query_outer_gradient(i: int, row: np.ndarray, ledger: QueryLedger) -> None:
+    """Charge one outer-gradient query for the row grad F_i(w) a batch
+    returned, and check that row."""
     ledger.outer_gradient_queries += 1
-    out = problem.outer_component_gradient(i, w) if value is None else value
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
         raise EvaluationError(f"outer gradient {i} returned a non-finite value")
-    return out
 
 
 def _check_indices(indices: Sequence[int], count: int, side: str) -> None:
@@ -365,7 +309,7 @@ def query_inner_values(
     _check_indices(js, problem.m_inner, "inner")
     rows = problem.inner_values(js, x)
     for j, row in zip(js, rows):
-        query_inner_value(problem, j, x, ledger, value=row)
+        query_inner_value(j, row, ledger)
     return rows
 
 
@@ -378,9 +322,11 @@ def query_inner_jacobians(
     *,
     compact: bool = False,
 ) -> np.ndarray:
-    """The form of dG_j(x) that :func:`query_inner_jacobian` returns for
-    the same ``v`` and ``compact``, for j in ``js``, as rows from one batch
-    call (the dense form stacks the per-component Jacobians); one
+    """One form of dG_j(x) for j in ``js``, as rows: the products
+    dG_j(x)^T v from ``problem.inner_vjps`` when ``v`` is given; the
+    compact parts from ``problem.compact_jacobians`` when ``compact`` is
+    true (then ``v`` must be None); otherwise the dense (M, N) Jacobians,
+    stacked from the per-component method (the reference form).  One
     :func:`query_inner_jacobian` call per index."""
     _check_indices(js, problem.m_inner, "inner")
     if compact:
@@ -390,7 +336,7 @@ def query_inner_jacobians(
     else:
         rows = problem.inner_vjps(js, x, v)
     for j, row in zip(js, rows):
-        query_inner_jacobian(problem, j, x, ledger, v, compact=compact, value=row)
+        query_inner_jacobian(j, row, ledger)
     return rows
 
 
@@ -402,7 +348,7 @@ def query_outer_values(
     _check_indices(is_, problem.n_outer, "outer")
     rows = problem.outer_values(is_, w)
     for i, row in zip(is_, rows):
-        query_outer_value(problem, i, w, ledger, value=row)
+        query_outer_value(i, row, ledger)
     return rows
 
 
@@ -414,7 +360,7 @@ def query_outer_gradients(
     _check_indices(is_, problem.n_outer, "outer")
     rows = problem.outer_gradients(is_, w)
     for i, row in zip(is_, rows):
-        query_outer_gradient(problem, i, w, ledger, value=row)
+        query_outer_gradient(i, row, ledger)
     return rows
 
 

@@ -13,21 +13,19 @@ which lets tests replay a draw through the exhaustive oracles.
 The snapshot keeps the mean Jacobian at x_tilde as a
 :class:`~scvr.core.MeanJacobian` operator built from m compact
 queries, and the gradient estimators used by the optimizer steps
-(``grad_scvr1``, ``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``)
-take it and each sampled Jacobian as products, so no step and no
-snapshot forms a dense Jacobian.  ``estimate_inner_jacobian``,
-``grad_scvr2`` and ``grad_minibatch_v1`` keep the dense form; they are
-the reference the verification suite compares against.  They take the
-snapshot's dense Jacobian from the per-component sum
-``core.inner_jacobian_full`` on a private ledger, never from the
+(``grad_minibatch_v1_vjp``, ``grad_minibatch_v2``) take it and each
+sampled Jacobian as products, so no step and no snapshot forms a dense
+Jacobian.  ``grad_scvr1`` is ``grad_minibatch_v2`` at B = b = 1.
+``estimate_inner_jacobian``, ``grad_scvr2`` and ``grad_minibatch_v1``
+keep the dense form; they are the reference the verification suite
+compares against.  They take the snapshot's dense Jacobian from the
+sum ``core.inner_jacobian_full`` on a private ledger, never from the
 operator they check, and charge the caller's ledger 2B or 2b queries.
 
-``estimate_inner`` and the mini-batch gradient estimators evaluate each
-half of a batch (the draws at x, the same draws at x_tilde) with one
-batch call through the ``core`` batch helpers, which still charge and
-check one query at a time, and add the rows in draw order as the
-per-draw loops did.  ``grad_scvr1`` and the dense reference estimators
-query one component at a time.
+Every estimator evaluates each half of a batch (the draws at x, the
+same draws at x_tilde) with one call of a ``core`` batch helper, which
+charges and checks one query at a time, and adds the rows in draw order
+as per-draw loops would.
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from scvr.core import (
     inner_jacobian_full,
     mean_jacobian,
     outer_gradient_full,
-    query_inner_jacobian,
     query_inner_jacobians,
     query_inner_values,
-    query_outer_gradient,
     query_outer_gradients,
     sum_rows,
 )
@@ -117,12 +113,9 @@ def estimate_inner_jacobian(
     """
     _require_batch(batch)
     jac_tilde = inner_jacobian_full(problem, snap.x_tilde, QueryLedger())
-    acc = np.zeros_like(jac_tilde)
-    for j in batch:
-        fresh = query_inner_jacobian(problem, j, x, ledger)
-        anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger)
-        acc += fresh - anchor
-    return acc / len(batch) + jac_tilde
+    fresh = query_inner_jacobians(problem, batch, x, ledger)
+    anchor = query_inner_jacobians(problem, batch, snap.x_tilde, ledger)
+    return sum_rows(fresh - anchor) / len(batch) + jac_tilde
 
 
 def grad_scvr1(
@@ -139,16 +132,13 @@ def grad_scvr1(
         (dG_j(x))^T grad F_i(g_hat)
           - (dG_j(x_tilde))^T grad F_i(G(x_tilde))  +  grad_tilde
 
-    Costs 4 queries (two Jacobian products, two outer gradients).  Its
+    Costs 4 queries (two outer gradients, two Jacobian products).  Its
     mean over (i, j) with g_hat held fixed is (dG(x))^T grad F(g_hat),
     which is *not* the full gradient at x: the inner estimate makes it
-    biased.
+    biased.  It is :func:`grad_minibatch_v2` with the batches [j] and
+    [i], which makes the same queries in the same order.
     """
-    outer_x = query_outer_gradient(problem, i, g_hat, ledger)
-    outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-    fresh = query_inner_jacobian(problem, j, x, ledger, outer_x)
-    anchor = query_inner_jacobian(problem, j, snap.x_tilde, ledger, outer_t)
-    return fresh - anchor + snap.grad_tilde
+    return grad_minibatch_v2(problem, x, snap, g_hat, [j], [i], ledger)
 
 
 def grad_scvr2(
@@ -190,11 +180,11 @@ def grad_minibatch_v1(
     """
     _require_batch(outer_batch)
     jac_tilde = inner_jacobian_full(problem, snap.x_tilde, QueryLedger())
+    outer_x = query_outer_gradients(problem, outer_batch, g_hat, ledger)
+    outer_t = query_outer_gradients(problem, outer_batch, snap.g_tilde, ledger)
     acc = np.zeros_like(snap.grad_tilde)
-    for i in outer_batch:
-        outer_x = query_outer_gradient(problem, i, g_hat, ledger)
-        outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
-        acc += jac_hat.T @ outer_x - jac_tilde.T @ outer_t
+    for row_x, row_t in zip(outer_x, outer_t):
+        acc += jac_hat.T @ row_x - jac_tilde.T @ row_t
     return acc / len(outer_batch) + snap.grad_tilde
 
 

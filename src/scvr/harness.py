@@ -16,9 +16,12 @@ sweep         re-run one config over a step-size grid, keep the best
 Relative output paths resolve against $SCVR_OUT_DIR when it is set.
 Every error path prints one machine-parseable line ``error <CODE>:
 <message>`` to stderr and exits nonzero.  For ``run`` and ``sweep`` a
-bad config field or unallocatable sizes are ``E_CONFIG`` (exit 2), and
-a file the config names that is missing, unreadable or cannot form a
-problem is ``E_DATA`` (exit 3).
+config that is not UTF-8 JSON, a bad config field or unallocatable
+sizes are ``E_CONFIG`` (exit 2), and a config file, or a file the config
+names, that is missing, unreadable or cannot form a problem is
+``E_DATA`` (exit 3).  ``embed`` maps a bad argument, including a budget
+that does not cover the startup cost, to ``E_CONFIG`` and its data file
+as ``run`` does the ``sne`` problem's.
 
 Trace CSVs carry a wall_ms column.  Timing is off by default (the
 column reads 0) so that identical config and seed reproduce the file
@@ -132,14 +135,7 @@ def build_problem(block: dict):
         sigma = num("sigma", 1.0, float)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ConfigError(f"problem: field 'sigma' must be finite and positive, got {sigma!r}")
-        embed_dim = size("embed_dim", 2)
-        data = problems.load_matrix(path)
-        if data.rows < 2:
-            raise problems.ProblemConstructionError(f"{path}: sne needs at least two data rows")
-        data = problems.normalize(data)
-        k = min(target, data.rows - 1, data.cols)
-        data = problems.pca_reduce(data, k)
-        return problems.build_sne(data, sigma, embed_dim)
+        return sne_from_csv(path, sigma, size("embed_dim", 2), target)
     if kind == "sne_json":
         path = block.get("path")
         if not path:
@@ -150,6 +146,24 @@ def build_problem(block: dict):
         except (problems.ProblemConstructionError, UnicodeDecodeError) as exc:
             raise problems.ProblemConstructionError(f"{path}: {exc}") from exc
     raise ConfigError(f"problem: unknown kind {kind!r}")
+
+
+# What a defect of a data file the CLI reads raises: E_DATA (exit 3).
+_DATA_ERRORS = (problems.MatrixParseError, problems.ProblemConstructionError, OSError)
+
+
+def sne_from_csv(path: str, sigma: float, embed_dim: int, pca_dim: int):
+    """CSV -> normalize -> PCA to at most ``pca_dim`` columns -> the
+    embedding problem, for ``run``'s problem kind ``sne`` and for
+    ``embed``.  The caller checks that sigma is finite and positive and
+    the dimensions at least 1, so every error raised here is one of
+    :data:`_DATA_ERRORS`."""
+    data = problems.load_matrix(path)
+    if data.rows < 2:
+        raise problems.ProblemConstructionError(f"{path}: sne needs at least two data rows")
+    data = problems.normalize(data)
+    data = problems.pca_reduce(data, min(pca_dim, data.rows - 1, data.cols))
+    return problems.build_sne(data, sigma, embed_dim)
 
 
 def _algo_config(entry: dict, default_seed: int, default_record: int) -> OptimizerConfig:
@@ -187,9 +201,9 @@ def load_experiment(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        _fail(EXIT_DATA, "E_DATA", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        _fail(EXIT_DATA, "E_DATA", f"cannot read config file: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(EXIT_CONFIG, "E_CONFIG", f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail(EXIT_CONFIG, "E_CONFIG", "config root must be a JSON object")
@@ -218,13 +232,7 @@ def prepare_experiment(cfg: dict):
     budget = cfg.get("budget")
     if budget is not None:
         budget = _field(cfg, "budget", None, int, "config")
-        for oc in configs:
-            need = optimizers.startup_query_cost(oc, problem.m_inner, problem.n_outer)
-            if budget <= need:
-                raise ConfigError(
-                    f"budget {budget} does not cover the startup cost "
-                    f"{need} of variant {oc.variant}"
-                )
+        _check_budget(budget, configs, problem)
     meta = {
         "seed": seed,
         "budget": budget,
@@ -232,6 +240,18 @@ def prepare_experiment(cfg: dict):
         "init_scale": init_scale,
     }
     return problem, configs, meta
+
+
+def _check_budget(budget: int | None, configs, problem) -> None:
+    """A :class:`ConfigError` unless ``budget`` (None: unlimited) covers
+    the startup cost of every configured variant."""
+    for oc in configs:
+        need = optimizers.startup_query_cost(oc, problem.m_inner, problem.n_outer)
+        if budget is not None and budget <= need:
+            raise ConfigError(
+                f"budget {budget} does not cover the startup cost "
+                f"{need} of variant {oc.variant}"
+            )
 
 
 _NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
@@ -245,7 +265,7 @@ def _prepare_or_fail(cfg: dict):
         return prepare_experiment(cfg)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
-    except (problems.MatrixParseError, problems.ProblemConstructionError, OSError) as exc:
+    except _DATA_ERRORS as exc:
         _fail(EXIT_DATA, "E_DATA", str(exc))
     except (MemoryError, ValueError) as exc:
         # NumPy refuses sizes it cannot allocate (MemoryError), or a shape
@@ -401,19 +421,15 @@ def cmd_verify(_args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
+        _fail(EXIT_CONFIG, "E_CONFIG", f"--sigma must be finite and positive, got {args.sigma!r}")
+    for flag, value in (("--dim", args.dim), ("--pca-dim", args.pca_dim)):
+        if value < 1:
+            _fail(EXIT_CONFIG, "E_CONFIG", f"{flag} must be at least 1, got {value}")
     try:
-        data = problems.load_matrix(args.data)
-    except FileNotFoundError:
-        _fail(EXIT_DATA, "E_DATA", f"data file not found: {args.data}")
-    except problems.MatrixParseError as exc:
+        problem = sne_from_csv(args.data, args.sigma, args.dim, args.pca_dim)
+    except _DATA_ERRORS as exc:
         _fail(EXIT_DATA, "E_DATA", str(exc))
-    try:
-        data = problems.normalize(data)
-        k = min(args.pca_dim, data.rows - 1, data.cols)
-        data = problems.pca_reduce(data, k)
-        problem = problems.build_sne(data, args.sigma, args.dim)
-    except (ValueError, problems.ProblemConstructionError) as exc:
-        _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
     n = problem.n_points
     batch = args.batch if args.batch is not None else math.ceil(n ** (2.0 / 3.0))
     sample = args.sample if args.sample is not None else max(1, math.ceil(n ** 0.4))
@@ -429,7 +445,8 @@ def cmd_embed(args) -> int:
             seed=args.seed,
             record_every=max(1, args.steps // 4),
         )
-    except ValueError as exc:
+        _check_budget(args.budget, [cfg], problem)
+    except ValueError as exc:  # ConfigError included
         _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
     x0 = initial_point(problem, args.seed, 1e-2)
     try:

@@ -15,12 +15,15 @@ x_out is the one visited at epoch/step indices drawn uniformly before
 the run, matching a uniformly sampled output in distribution without
 storing the whole trajectory.
 
-The stochastic steps (scvr1, scvr2, the mini-batch variants and sgd)
-query each sampled Jacobian as one product dG_j(x)^T v.  The snapshot,
-the svrg step and every full gradient (gd's step and the trace
-records) build the mean Jacobian as an operator from m compact queries
-and multiply through ``rmatvec``.  No run path forms a dense Jacobian
-of a problem whose compact part is not the dense matrix.
+Every step evaluates through the ``core`` batch helpers, a single
+query as a one-index batch, so no run path calls a per-component
+method.  ``scvr1``'s step is the ``minibatch_v2`` estimator at
+B = b = 1.  The stochastic steps (scvr1, scvr2, the mini-batch variants
+and sgd) query each sampled Jacobian as one product dG_j(x)^T v.  The
+snapshot, the svrg step and every full gradient (gd's step and the
+trace records) build the mean Jacobian as an operator from m compact
+queries and multiply through ``rmatvec``.  No run path forms a dense
+Jacobian of a problem whose compact part is not the dense matrix.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from scvr.core import (
     inner_full,
     mean_jacobian,
     objective,
-    query_inner_jacobian,
-    query_outer_gradient,
+    query_inner_jacobians,
+    query_outer_gradients,
     sample_indices,
 )
 
@@ -53,7 +56,8 @@ def _step_scvr1(problem, x, snap, stream, sizes, ledger):
     g_hat = estimators.estimate_inner(problem, x, snap, batch, ledger)
     i = stream.randrange(problem.n_outer) + 1
     j = stream.randrange(problem.m_inner) + 1
-    return estimators.grad_scvr1(problem, x, snap, g_hat, i, j, ledger)
+    # grad_scvr1's single pair, as the v2 estimator at B = b = 1
+    return estimators.grad_minibatch_v2(problem, x, snap, g_hat, [j], [i], ledger)
 
 
 def _mini_batch_step(estimator: str):
@@ -75,8 +79,8 @@ def _step_svrg(problem, x, snap, stream, sizes, ledger):
     value = inner_full(problem, x, ledger)
     jac = mean_jacobian(problem, x, ledger)
     i = stream.randrange(problem.n_outer) + 1
-    outer_x = query_outer_gradient(problem, i, value, ledger)
-    outer_t = query_outer_gradient(problem, i, snap.g_tilde, ledger)
+    (outer_x,) = query_outer_gradients(problem, [i], value, ledger)
+    (outer_t,) = query_outer_gradients(problem, [i], snap.g_tilde, ledger)
     return jac.rmatvec(outer_x) - snap.jac_tilde.rmatvec(outer_t) + snap.grad_tilde
 
 
@@ -84,8 +88,8 @@ def _step_sgd(problem, x, snap, stream, sizes, ledger):
     value = inner_full(problem, x, ledger)
     i = stream.randrange(problem.n_outer) + 1
     j = stream.randrange(problem.m_inner) + 1
-    outer_i = query_outer_gradient(problem, i, value, ledger)
-    return query_inner_jacobian(problem, j, x, ledger, outer_i)
+    (outer_i,) = query_outer_gradients(problem, [i], value, ledger)
+    return query_inner_jacobians(problem, [j], x, ledger, outer_i)[0]
 
 
 def _step_gd(problem, x, snap, stream, sizes, ledger):

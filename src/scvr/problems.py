@@ -62,8 +62,6 @@ class AffineQuadraticProblem(CompositionProblem):
         self.mats = mats
         self.offs = offs
         self.targets = targets
-        # per-component row views, indexed from a list on the query path
-        self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
         self.mean_mat = mats.mean(axis=0)
@@ -75,17 +73,17 @@ class AffineQuadraticProblem(CompositionProblem):
         return SmoothnessConstants(b_g=b_g, l_g=0.0, b_f=1.0, l_f_outer=1.0, l_f=b_g * b_g)
 
     def inner_component(self, j, x):
-        return self._mats[j - 1] @ x + self._offs[j - 1]
+        return self.mats[j - 1] @ x + self.offs[j - 1]
 
     def inner_component_jacobian(self, j, x):
-        return self._mats[j - 1].copy()
+        return self.mats[j - 1].copy()
 
     def outer_component(self, i, w):
-        r = w - self._targets[i - 1]
+        r = w - self.targets[i - 1]
         return 0.5 * float(r @ r)
 
     def outer_component_gradient(self, i, w):
-        return w - self._targets[i - 1]
+        return w - self.targets[i - 1]
 
     # closed-form oracles ---------------------------------------------------
 
@@ -179,8 +177,6 @@ class NonconvexSyntheticProblem(CompositionProblem):
         self.mats = mats
         self.offs = offs
         self.targets = targets
-        # per-component row views, indexed from a list on the query path
-        self._mats, self._offs, self._targets = list(mats), list(offs), list(targets)
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
 
@@ -195,16 +191,16 @@ class NonconvexSyntheticProblem(CompositionProblem):
         )
 
     def inner_component(self, j, x):
-        return self._mats[j - 1] @ x + self._offs[j - 1]
+        return self.mats[j - 1] @ x + self.offs[j - 1]
 
     def inner_component_jacobian(self, j, x):
-        return self._mats[j - 1].copy()
+        return self.mats[j - 1].copy()
 
     def outer_component(self, i, w):
-        return float(_rho(w - self._targets[i - 1]).sum())
+        return float(_rho(w - self.targets[i - 1]).sum())
 
     def outer_component_gradient(self, i, w):
-        return _rho_prime(w - self._targets[i - 1])
+        return _rho_prime(w - self.targets[i - 1])
 
     # batch forms: the same expressions on the rows mats[j - 1] and
     # targets[i - 1] taken as stacks

@@ -126,20 +126,20 @@ def test_component_purity_bitwise(affine_small, sne_small):
     for problem in (affine_small, sne_small):
         x = np.linspace(-0.5, 0.5, problem.dim_x)
         ledger = QueryLedger()
-        a = core.query_inner_value(problem, 1, x, ledger)
-        b = core.query_inner_value(problem, 1, x, ledger)
+        a = core.query_inner_values(problem, [1], x, ledger)
+        b = core.query_inner_values(problem, [1], x, ledger)
         assert np.array_equal(a, b)
         w = core.inner_full(problem, x, QueryLedger())
-        ga = core.query_outer_gradient(problem, 1, w, ledger)
-        gb = core.query_outer_gradient(problem, 1, w, ledger)
+        ga = core.query_outer_gradients(problem, [1], w, ledger)
+        gb = core.query_outer_gradients(problem, [1], w, ledger)
         assert np.array_equal(ga, gb)
 
 
 def test_component_index_out_of_range(affine_small):
     with pytest.raises(IndexError):
-        core.query_inner_value(affine_small, 0, np.zeros(3), QueryLedger())
+        core.query_inner_values(affine_small, [0], np.zeros(3), QueryLedger())
     with pytest.raises(IndexError):
-        core.query_outer_gradient(affine_small, 99, np.zeros(3), QueryLedger())
+        core.query_outer_gradients(affine_small, [99], np.zeros(3), QueryLedger())
 
 
 def test_non_finite_component_raises():

@@ -514,6 +514,65 @@ def test_single_row_sne_data_is_one_data_error_line(tmp_path, capsys, command):
     assert "two data rows" in _one_error_line(capsys, "E_DATA")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_directory_is_one_data_error_line(tmp_path, capsys, command):
+    assert _run_or_sweep(command, tmp_path) == EXIT_DATA
+    assert str(tmp_path) in _one_error_line(capsys, "E_DATA")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_utf8_config_is_one_config_error_line(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert _run_or_sweep(command, path) == EXIT_CONFIG
+    assert "utf-8" in _one_error_line(capsys, "E_CONFIG")
+
+
+def _embed(tmp_path, data_path, *extra):
+    return main(["embed", "--data", str(data_path), "--epochs", "1", "--steps", "2",
+                 "--output", str(tmp_path / "emb.csv"), *extra])
+
+
+def test_embed_data_directory_is_one_data_error_line(tmp_path, capsys):
+    assert _embed(tmp_path, tmp_path) == EXIT_DATA
+    assert str(tmp_path) in _one_error_line(capsys, "E_DATA")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+def test_embed_single_row_data_is_one_data_error_line_as_in_run(tmp_path, capsys):
+    data_path = tmp_path / "one.csv"
+    data_path.write_text("0.5,1.5,2.5\n")
+    assert _embed(tmp_path, data_path) == EXIT_DATA
+    assert "two data rows" in _one_error_line(capsys, "E_DATA")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sigma", "0"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ("--dim", "0"), ("--pca-dim", "0"),
+])
+def test_embed_bad_argument_is_one_config_error_line(tmp_path, capsys, flag, value):
+    data, _ = problems.make_cluster_data(12, clusters=2, dim=5, seed=2)
+    data_path = tmp_path / "clusters.csv"
+    problems.save_matrix(data, data_path)
+    assert _embed(tmp_path, data_path, flag, value) == EXIT_CONFIG
+    _one_error_line(capsys, "E_CONFIG")
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("budget", [0, -3, 5, 36])
+def test_embed_budget_below_startup_is_one_config_error_line(tmp_path, capsys, budget):
+    # 12 points: the snapshot costs 2m + n = 36 queries
+    data, _ = problems.make_cluster_data(12, clusters=2, dim=5, seed=2)
+    data_path = tmp_path / "clusters.csv"
+    problems.save_matrix(data, data_path)
+    assert _embed(tmp_path, data_path, "--budget", str(budget)) == EXIT_CONFIG
+    line = _one_error_line(capsys, "E_CONFIG")
+    assert f"budget {budget} does not cover the startup cost 36 of variant minibatch_v1" in line
+    assert not (tmp_path / "emb.csv").exists()
+    assert _embed(tmp_path, data_path, "--budget", "37") == EXIT_OK
+
+
 def _nan_outer_gradient(self, i, w):
     return np.full(self.dim_w, np.nan)
 

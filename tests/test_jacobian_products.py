@@ -1,6 +1,6 @@
 """Jacobian queries taken as products dG_j(x)^T v: every problem's
 ``inner_component_vjp`` against its dense Jacobian, the one-call,
-one-charge contract of ``query_inner_jacobian`` with ``v`` and with
+one-charge contract of ``query_inner_jacobians`` with ``v`` and with
 ``compact=True``, the mean-Jacobian operator against the per-component
 dense sum, and the product-form gradient estimator against the dense
 reference pair."""
@@ -137,31 +137,46 @@ def test_mean_jacobian_matches_per_component_dense_sum(cls, seed, scale, data):
     assert np.array_equal(op.rmatvec(np.zeros(problem.dim_w)), np.zeros(problem.dim_x))
 
 
+PER_COMPONENT_METHODS = (
+    "inner_component", "inner_component_jacobian", "inner_component_vjp", "compact_jacobian",
+    "outer_component", "outer_component_gradient",
+)
+
+
 def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
-    problem = _random_sne(6, 2, 4)
-    x = np.random.default_rng(4).normal(size=problem.dim_x) * 0.5
-    want_snapshot = take_snapshot(problem, x, QueryLedger())
-    want_grad = core.full_gradient(problem, x, QueryLedger())
+    """No run path calls a per-component method, the reference, on the
+    embedding or on the nonconvex synthetic: the snapshot, the full
+    gradient and a run of every variant with trace records evaluate
+    through the batch methods alone, so no dense SNE Jacobian is formed."""
+    cases = (_random_sne(6, 2, 4), problems.make_nonconvex_synthetic(5, 4, 3, 4, seed=2))
+    for problem in cases:
+        x = np.random.default_rng(4).normal(size=problem.dim_x) * 0.5
+        want_snapshot = take_snapshot(problem, x, QueryLedger())
+        want_grad = core.full_gradient(problem, x, QueryLedger())
 
-    def refuse(self, j, x):
-        raise AssertionError("dense Jacobian formed on a full evaluation")
+        with monkeypatch.context() as patch:
+            for method in PER_COMPONENT_METHODS:
 
-    monkeypatch.setattr(problems.SneProblem, "inner_component_jacobian", refuse)
-    snap = take_snapshot(problem, x, QueryLedger())
-    assert snap.grad_tilde.tobytes() == want_snapshot.grad_tilde.tobytes()
-    assert core.full_gradient(problem, x, QueryLedger()).tobytes() == want_grad.tobytes()
-    for variant in ("svrg", "gd", "scvr1", "scvr2", "minibatch_v1", "minibatch_v2", "sgd"):
-        cfg = optimizers.OptimizerConfig(
-            eta=0.01, epochs_s=2, inner_k=2, variant=variant, sample_a=2, sample_b=2,
-            batch_b=2, seed=1, record_every=1,
-        )
-        result = optimizers.run(problem, cfg, x0=x)
-        assert result.ledger.total == optimizers.expected_total_queries(
-            variant, 2, 2, problem.m_inner, problem.n_outer, 2, 2, 2
-        )
+                def refuse(*args, _method=method):
+                    raise AssertionError(f"{_method} called on a run path")
+
+                patch.setattr(type(problem), method, refuse)
+            snap = take_snapshot(problem, x, QueryLedger())
+            assert snap.grad_tilde.tobytes() == want_snapshot.grad_tilde.tobytes()
+            assert core.full_gradient(problem, x, QueryLedger()).tobytes() == want_grad.tobytes()
+            for variant in optimizers.VARIANTS:
+                cfg = optimizers.OptimizerConfig(
+                    eta=0.01, epochs_s=2, inner_k=2, variant=variant, sample_a=2, sample_b=2,
+                    batch_b=2, seed=1, record_every=1,
+                )
+                result = optimizers.run(problem, cfg, x0=x)
+                assert len(result.trace) == 5
+                assert result.ledger.total == optimizers.expected_total_queries(
+                    variant, 2, 2, problem.m_inner, problem.n_outer, 2, 2, 2
+                )
 
 
-# -- query_inner_jacobian with a vector or compact=True --------------------------
+# -- query_inner_jacobians with a vector or compact=True -------------------------
 
 
 class ProductOnlyProblem(core.CompositionProblem):
@@ -195,9 +210,9 @@ class ProductOnlyProblem(core.CompositionProblem):
 def test_query_with_vector_returns_the_product_for_one_charge():
     product = np.array([1.5, -2.0])
     ledger = QueryLedger()
-    out = core.query_inner_jacobian(ProductOnlyProblem(product), 2, np.zeros(2), ledger,
-                                    np.ones(4))
-    assert out is product
+    (out,) = core.query_inner_jacobians(ProductOnlyProblem(product), [2], np.zeros(2), ledger,
+                                        np.ones(4))
+    assert out.tobytes() == product.tobytes()
     assert ledger == QueryLedger(inner_jacobian_queries=1)
 
 
@@ -207,16 +222,16 @@ def test_query_with_vector_rejects_non_finite_product(bad, fill):
     product = np.array([fill, bad])
     ledger = QueryLedger()
     with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
-        core.query_inner_jacobian(ProductOnlyProblem(product), 3, np.zeros(2), ledger,
-                                  np.ones(4))
+        core.query_inner_jacobians(ProductOnlyProblem(product), [3], np.zeros(2), ledger,
+                                   np.ones(4))
     assert ledger.total == 1
 
 
 def test_query_with_vector_checks_the_index():
     ledger = QueryLedger()
     with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
-        core.query_inner_jacobian(ProductOnlyProblem(np.zeros(2)), 4, np.zeros(2), ledger,
-                                  np.ones(4))
+        core.query_inner_jacobians(ProductOnlyProblem(np.zeros(2)), [4], np.zeros(2), ledger,
+                                   np.ones(4))
     assert ledger.total == 0
 
 
@@ -230,9 +245,9 @@ class CompactOnlyProblem(ProductOnlyProblem):
 def test_compact_query_returns_the_part_for_one_charge():
     part = np.array([[1.5, -2.0]])
     ledger = QueryLedger()
-    out = core.query_inner_jacobian(CompactOnlyProblem(part), 2, np.zeros(2), ledger,
-                                    compact=True)
-    assert out is part
+    (out,) = core.query_inner_jacobians(CompactOnlyProblem(part), [2], np.zeros(2), ledger,
+                                        compact=True)
+    assert out.tobytes() == part.tobytes()
     assert ledger == QueryLedger(inner_jacobian_queries=1)
 
 
@@ -241,9 +256,9 @@ def test_compact_query_rejects_non_finite_part_and_checks_the_index(bad):
     ledger = QueryLedger()
     problem = CompactOnlyProblem(np.array([[1.0, bad]]))
     with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
-        core.query_inner_jacobian(problem, 3, np.zeros(2), ledger, compact=True)
+        core.query_inner_jacobians(problem, [3], np.zeros(2), ledger, compact=True)
     with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
-        core.query_inner_jacobian(problem, 4, np.zeros(2), ledger, compact=True)
+        core.query_inner_jacobians(problem, [4], np.zeros(2), ledger, compact=True)
     assert ledger.total == 1
 
 

@@ -1,6 +1,6 @@
-"""The per-query path: finiteness checks in the ``core.query_*`` helpers,
-bitwise agreement of the synthetic components with their defining
-formulas, and one helper call per charged query."""
+"""The per-query path: finiteness checks of the rows the ``core`` batch
+helpers return, bitwise agreement of the synthetic components with their
+defining formulas, and one ``query_<kind>`` call per charged query."""
 
 import math
 import sys
@@ -43,11 +43,24 @@ class FixedOutputProblem(core.CompositionProblem):
         return self.vector
 
 
+# kind: (batch helper, error label, accounting helper, ledger field)
 QUERIES = {
-    "inner_value": (core.query_inner_value, "inner component"),
-    "inner_jacobian": (core.query_inner_jacobian, "inner Jacobian"),
-    "outer_value": (core.query_outer_value, "outer component"),
-    "outer_gradient": (core.query_outer_gradient, "outer gradient"),
+    "inner_value": (
+        core.query_inner_values, "inner component", core.query_inner_value,
+        "inner_value_queries",
+    ),
+    "inner_jacobian": (
+        core.query_inner_jacobians, "inner Jacobian", core.query_inner_jacobian,
+        "inner_jacobian_queries",
+    ),
+    "outer_value": (
+        core.query_outer_values, "outer component", core.query_outer_value,
+        "outer_value_queries",
+    ),
+    "outer_gradient": (
+        core.query_outer_gradients, "outer gradient", core.query_outer_gradient,
+        "outer_gradient_queries",
+    ),
 }
 
 
@@ -64,23 +77,24 @@ def _problem_with(entry, fill=1.0):
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("fill", [1.0, 1e200])
 def test_non_finite_output_raises_naming_the_index(kind, bad, fill):
-    query, label = QUERIES[kind]
+    query, label, _, _ = QUERIES[kind]
     problem = _problem_with(bad, fill)
     ledger = QueryLedger()
     with pytest.raises(EvaluationError, match=rf"^{label} 3 returned a non-finite value$"):
-        query(problem, 3, np.zeros(problem.dim_x), ledger)
+        query(problem, [3], np.zeros(problem.dim_x), ledger)
     assert ledger.total == 1
 
 
 @pytest.mark.parametrize("kind", ["inner_value", "inner_jacobian", "outer_gradient"])
 def test_overflowing_squared_norm_is_not_an_error(kind):
-    query, _ = QUERIES[kind]
+    query, _, _, _ = QUERIES[kind]
     problem = _problem_with(1e200, 1e200)
     expected = problem.matrix if kind == "inner_jacobian" else problem.vector
     with np.errstate(over="ignore"):
         assert not math.isfinite(np.vdot(expected, expected))
     ledger = QueryLedger()
-    assert query(problem, 2, np.zeros(problem.dim_x), ledger) is expected
+    (row,) = query(problem, [2], np.zeros(problem.dim_x), ledger)
+    assert row.tobytes() == expected.tobytes()
     assert ledger.total == 1
 
 
@@ -88,11 +102,24 @@ def test_largest_finite_outputs_pass():
     big = np.finfo(float).max
     problem = _problem_with(-big, big)
     ledger = QueryLedger()
-    core.query_inner_value(problem, 1, np.zeros(3), ledger)
-    core.query_inner_jacobian(problem, 1, np.zeros(3), ledger)
-    core.query_outer_gradient(problem, 1, np.zeros(5), ledger)
-    assert core.query_outer_value(problem, 1, np.zeros(5), ledger) == -big
+    core.query_inner_values(problem, [1], np.zeros(3), ledger)
+    core.query_inner_jacobians(problem, [1], np.zeros(3), ledger)
+    core.query_outer_gradients(problem, [1], np.zeros(5), ledger)
+    assert core.query_outer_values(problem, [1], np.zeros(5), ledger)[0] == -big
     assert ledger.total == 4
+
+
+@pytest.mark.parametrize("kind", sorted(QUERIES))
+def test_query_kind_only_charges_and_checks_the_row(kind):
+    _, label, account, field = QUERIES[kind]
+    row = np.array([1.0, 2.0]) if kind != "outer_value" else 1.0
+    ledger = QueryLedger()
+    assert account(2, row, ledger) is None
+    assert ledger == QueryLedger(**{field: 1})
+    bad = np.array([1.0, math.nan]) if kind != "outer_value" else math.nan
+    with pytest.raises(EvaluationError, match=rf"^{label} 5 returned a non-finite value$"):
+        account(5, bad, ledger)
+    assert ledger == QueryLedger(**{field: 2})
 
 
 # -- bitwise agreement with the defining formulas ---------------------------------

@@ -68,3 +68,16 @@ def test_main_exits_nonzero_on_any_difference(monkeypatch, capsys):
     records[True] = {**RECORD, "check-params n=100 m=100 b=1": '{\n  "n": 101\n}'}
     assert same_outputs.main(["--parent", "/elsewhere"]) == 1
     assert "DIFFERENT check-params n=100 m=100 b=1: line 2" in capsys.readouterr().out
+
+
+def test_embed_outputs_hide_the_temporary_directory(tmp_path):
+    from scvr import problems
+
+    data_path = tmp_path / "clusters.csv"
+    n_points, clusters, dim, seed = same_outputs.EMBED_DATA
+    data, _ = problems.make_cluster_data(n_points, clusters=clusters, dim=dim, seed=seed)
+    problems.save_matrix(data, data_path)
+    coords, stdout = same_outputs._embed_outputs("scvr1", str(data_path), str(tmp_path))
+    assert len(coords.splitlines()) == n_points
+    assert stdout.startswith("wrote <workdir>/embed_scvr1.csv (20 rows x 2); objective ")
+    assert str(tmp_path) not in stdout
