@@ -16,9 +16,9 @@ the run, matching a uniformly sampled output in distribution without
 storing the whole trajectory.
 
 Every step evaluates through the ``core`` batch helpers, a single
-query as a one-index batch, so no run path calls a per-component
-method.  ``scvr1``'s step is the ``minibatch_v2`` estimator at
-B = b = 1.  The stochastic steps (scvr1, scvr2, the mini-batch variants
+query as a one-index batch, so a run reaches a per-component method
+only through a default batch method.  ``scvr1``'s step is the
+``minibatch_v2`` estimator at B = b = 1.  The stochastic steps (scvr1, scvr2, the mini-batch variants
 and sgd) query each sampled Jacobian as one product dG_j(x)^T v.  The
 snapshot, the svrg step and every full gradient (gd's step and the
 trace records) build the mean Jacobian as an operator from m compact

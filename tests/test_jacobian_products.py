@@ -144,8 +144,8 @@ PER_COMPONENT_METHODS = (
 
 
 def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
-    """No run path calls a per-component method, the reference, on the
-    embedding or on the nonconvex synthetic: the snapshot, the full
+    """No run path calls a per-component method, the reference, of the
+    embedding or of the nonconvex synthetic: the snapshot, the full
     gradient and a run of every variant with trace records evaluate
     through the batch methods alone, so no dense SNE Jacobian is formed."""
     cases = (_random_sne(6, 2, 4), problems.make_nonconvex_synthetic(5, 4, 3, 4, seed=2))
