@@ -14,14 +14,21 @@ embed         normalize -> PCA -> neighbor embedding -> coordinates CSV
 sweep         re-run one config over a step-size grid, keep the best
 
 Relative output paths resolve against $SCVR_OUT_DIR when it is set.
-Every error path prints one machine-parseable line ``error <CODE>:
-<message>`` to stderr and exits nonzero.  For ``run`` and ``sweep`` a
-config that is not UTF-8 JSON, a bad config field or unallocatable
-sizes are ``E_CONFIG`` (exit 2), and a config file, or a file the config
-names, that is missing, unreadable or cannot form a problem is
-``E_DATA`` (exit 3).  ``embed`` maps a bad argument, including a budget
-that does not cover the startup cost, to ``E_CONFIG`` and its data file
-as ``run`` does the ``sne`` problem's.
+Commands raise; :func:`main` alone turns a failure into one
+machine-parseable line ``error <CODE>: <message>`` on stderr and a
+nonzero exit status:
+
+E_ARGS      (2)  a ``check-params`` argument out of range
+E_CONFIG    (2)  a config that is not UTF-8 JSON, a bad config field
+                 (path fields must be non-empty strings), unallocatable
+                 sizes, a bad ``embed`` argument or eta grid, a budget
+                 that does not cover the startup cost
+E_DATA      (3)  a file a command reads (a config, a file it names,
+                 ``embed``'s data) that is missing, unreadable or cannot
+                 form a problem, or an output path that cannot be written
+E_DIVERGED  (4)  an iterate left the finite box or a component evaluation
+                 turned non-finite; for ``sweep``, every step size of a
+                 variant did
 
 Trace CSVs carry a wall_ms column.  Timing is off by default (the
 column reads 0) so that identical config and seed reproduce the file
@@ -59,14 +66,12 @@ class ConfigError(ValueError):
 
 
 class CliFailure(Exception):
+    """A failure that names its own exit status and tag."""
+
     def __init__(self, code: int, tag: str, message: str):
         super().__init__(message)
         self.code = code
         self.tag = tag
-
-
-def _fail(code: int, tag: str, message: str):
-    raise CliFailure(code, tag, message)
 
 
 def _out_path(path: str) -> str:
@@ -102,6 +107,16 @@ def _field(block: dict, name: str, default, convert, where: str):
         raise ConfigError(f"{where}: field {name!r} is out of range, got {value!r}") from exc
 
 
+def _path_field(block: dict, name: str, default, where: str) -> str:
+    """``block[name]`` (or ``default``) as a file path: anything but a
+    non-empty JSON string is a :class:`ConfigError` naming the field, so
+    no number is taken for a file descriptor."""
+    value = block.get(name, default)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: field {name!r} must be a non-empty path string, got {value!r}")
+    return value
+
+
 def build_problem(block: dict):
     """Instantiate the problem described by the config's problem block."""
     if not isinstance(block, dict) or "kind" not in block:
@@ -128,18 +143,14 @@ def build_problem(block: dict):
             dim_w=size("dim_w", 8), seed=size("seed", 0, least=0),
         )
     if kind == "sne":
-        path = block.get("data")
-        if not path:
-            raise ConfigError("problem: sne needs field 'data'")
+        path = _path_field(block, "data", None, "problem")
         target = size("pca_dim", 30)
         sigma = num("sigma", 1.0, float)
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ConfigError(f"problem: field 'sigma' must be finite and positive, got {sigma!r}")
         return sne_from_csv(path, sigma, size("embed_dim", 2), target)
     if kind == "sne_json":
-        path = block.get("path")
-        if not path:
-            raise ConfigError("problem: sne_json needs field 'path'")
+        path = _path_field(block, "path", None, "problem")
         try:
             with open(path, encoding="utf-8") as fh:
                 return problems.SneProblem.from_json(fh.read())
@@ -148,7 +159,8 @@ def build_problem(block: dict):
     raise ConfigError(f"problem: unknown kind {kind!r}")
 
 
-# What a defect of a data file the CLI reads raises: E_DATA (exit 3).
+# What a file the CLI reads or writes raises when it is missing,
+# unreadable, unwritable or malformed: E_DATA (exit 3).
 _DATA_ERRORS = (problems.MatrixParseError, problems.ProblemConstructionError, OSError)
 
 
@@ -201,13 +213,14 @@ def load_experiment(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        _fail(EXIT_DATA, "E_DATA", f"cannot read config file: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _fail(EXIT_CONFIG, "E_CONFIG", f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        _fail(EXIT_CONFIG, "E_CONFIG", "config root must be a JSON object")
+        raise ConfigError("config root must be a JSON object")
     return cfg
+
+
+_NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 def prepare_experiment(cfg: dict):
@@ -215,7 +228,18 @@ def prepare_experiment(cfg: dict):
     for required in ("problem", "algorithms"):
         if required not in cfg:
             raise ConfigError(f"missing field '{required}'")
-    problem = build_problem(cfg["problem"])
+    output = _path_field(cfg, "output", "trace.csv", "config")
+    try:
+        problem = build_problem(cfg["problem"])
+    except (MemoryError, ValueError) as exc:
+        # NumPy refuses sizes it cannot allocate (MemoryError), or a shape
+        # past its size limit before allocating (a plain ValueError); any
+        # other error, ConfigError and the data errors included, is passed on
+        if isinstance(exc, ValueError) and not (
+            type(exc) is ValueError and str(exc).startswith(_NUMPY_SIZE_ERRORS)
+        ):
+            raise
+        raise ConfigError(f"problem sizes cannot be allocated: {exc}") from exc
     seed = _field(cfg, "seed", 0, int, "config")
     record_every = _field(cfg, "record_every", 1, int, "config")
     init_scale = _field(cfg, "init_scale", 0.1, float, "config")
@@ -236,7 +260,7 @@ def prepare_experiment(cfg: dict):
     meta = {
         "seed": seed,
         "budget": budget,
-        "output": cfg.get("output", "trace.csv"),
+        "output": output,
         "init_scale": init_scale,
     }
     return problem, configs, meta
@@ -252,28 +276,6 @@ def _check_budget(budget: int | None, configs, problem) -> None:
                 f"budget {budget} does not cover the startup cost "
                 f"{need} of variant {oc.variant}"
             )
-
-
-_NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
-
-
-def _prepare_or_fail(cfg: dict):
-    """:func:`prepare_experiment`, with each input error mapped to its CLI
-    code: the config's own fields give E_CONFIG, the files it names
-    E_DATA.  ``run`` and ``sweep`` share this mapping."""
-    try:
-        return prepare_experiment(cfg)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
-    except _DATA_ERRORS as exc:
-        _fail(EXIT_DATA, "E_DATA", str(exc))
-    except (MemoryError, ValueError) as exc:
-        # NumPy refuses sizes it cannot allocate (MemoryError), or a shape
-        # past its size limit before allocating; any other ValueError is a
-        # fault, not an input error
-        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_SIZE_ERRORS):
-            raise
-        _fail(EXIT_CONFIG, "E_CONFIG", f"problem sizes cannot be allocated: {exc}")
 
 
 def initial_point(problem, seed: int, scale: float) -> np.ndarray:
@@ -329,13 +331,8 @@ def cmd_run(args) -> int:
         cfg["output"] = args.output
     if args.seed is not None:
         cfg["seed"] = args.seed
-    problem, configs, meta = _prepare_or_fail(cfg)
-    try:
-        sections = run_experiment(problem, configs, meta, timing=args.timing)
-    except DivergenceError as exc:
-        _fail(EXIT_DIVERGED, "E_DIVERGED", f"run diverged: {exc}")
-    except EvaluationError as exc:
-        _fail(EXIT_DIVERGED, "E_DIVERGED", f"component evaluation blew up: {exc}")
+    problem, configs, meta = prepare_experiment(cfg)
+    sections = run_experiment(problem, configs, meta, timing=args.timing)
     out = _out_path(meta["output"])
     write_trace_csv(out, sections)
     print(f"wrote {out}")
@@ -383,14 +380,14 @@ def check_params_report(n: int, m: int, constants: SmoothnessConstants, b: int) 
 
 def cmd_check_params(args) -> int:
     if args.n < 2:
-        _fail(EXIT_CONFIG, "E_ARGS", "n must be at least 2 (the size ratio m0 "
-              "is undefined at n=1)")
+        raise CliFailure(EXIT_CONFIG, "E_ARGS", "n must be at least 2 (the size ratio m0 "
+                         "is undefined at n=1)")
     if args.m < 1:
-        _fail(EXIT_CONFIG, "E_ARGS", "m must be at least 1")
+        raise CliFailure(EXIT_CONFIG, "E_ARGS", "m must be at least 1")
     try:
         report = check_params_report(args.n, args.m, _constants_from_args(args), args.b)
     except ValueError as exc:  # a non-positive constant or batch size
-        _fail(EXIT_CONFIG, "E_ARGS", str(exc))
+        raise CliFailure(EXIT_CONFIG, "E_ARGS", str(exc)) from exc
     text = json.dumps(report, indent=2)
     if args.output:
         out = _out_path(args.output)
@@ -422,14 +419,11 @@ def cmd_verify(_args) -> int:
 
 def cmd_embed(args) -> int:
     if not (math.isfinite(args.sigma) and args.sigma > 0.0):
-        _fail(EXIT_CONFIG, "E_CONFIG", f"--sigma must be finite and positive, got {args.sigma!r}")
+        raise ConfigError(f"--sigma must be finite and positive, got {args.sigma!r}")
     for flag, value in (("--dim", args.dim), ("--pca-dim", args.pca_dim)):
         if value < 1:
-            _fail(EXIT_CONFIG, "E_CONFIG", f"{flag} must be at least 1, got {value}")
-    try:
-        problem = sne_from_csv(args.data, args.sigma, args.dim, args.pca_dim)
-    except _DATA_ERRORS as exc:
-        _fail(EXIT_DATA, "E_DATA", str(exc))
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    problem = sne_from_csv(args.data, args.sigma, args.dim, args.pca_dim)
     n = problem.n_points
     batch = args.batch if args.batch is not None else math.ceil(n ** (2.0 / 3.0))
     sample = args.sample if args.sample is not None else max(1, math.ceil(n ** 0.4))
@@ -445,16 +439,11 @@ def cmd_embed(args) -> int:
             seed=args.seed,
             record_every=max(1, args.steps // 4),
         )
-        _check_budget(args.budget, [cfg], problem)
-    except ValueError as exc:  # ConfigError included
-        _fail(EXIT_CONFIG, "E_CONFIG", str(exc))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _check_budget(args.budget, [cfg], problem)
     x0 = initial_point(problem, args.seed, 1e-2)
-    try:
-        result = optimizers.run(problem, cfg, x0=x0, budget=args.budget)
-    except DivergenceError as exc:
-        _fail(EXIT_DIVERGED, "E_DIVERGED", f"embedding run diverged: {exc}")
-    except EvaluationError as exc:
-        _fail(EXIT_DIVERGED, "E_DIVERGED", f"component evaluation blew up: {exc}")
+    result = optimizers.run(problem, cfg, x0=x0, budget=args.budget)
     coords = result.x_last.reshape(n, args.dim)
     out = _out_path(args.output)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -509,13 +498,13 @@ def cmd_sweep(args) -> int:
         cfg["budget"] = args.budget
     try:
         etas = [float(v) for v in args.etas.split(",") if v]
-    except ValueError:
-        _fail(EXIT_CONFIG, "E_CONFIG", f"cannot parse eta grid {args.etas!r}")
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse eta grid {args.etas!r}") from exc
     if not etas:
-        _fail(EXIT_CONFIG, "E_CONFIG", "eta grid is empty")
+        raise ConfigError("eta grid is empty")
     if not all(math.isfinite(eta) and eta >= 0.0 for eta in etas):
-        _fail(EXIT_CONFIG, "E_CONFIG", f"eta grid {args.etas!r} needs finite non-negative steps")
-    problem, configs, meta = _prepare_or_fail(cfg)
+        raise ConfigError(f"eta grid {args.etas!r} needs finite non-negative steps")
+    problem, configs, meta = prepare_experiment(cfg)
     outcome, best_sections = sweep_experiment(problem, configs, meta, etas)
     out = _out_path(meta["output"])
     write_trace_csv(out, best_sections)
@@ -595,13 +584,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  The one place where a failure becomes an
+    error line and an exit status; any other exception is a fault and
+    propagates."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every component value and iterate is checked for finiteness, so
+        # NumPy's floating-point warnings would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except CliFailure as exc:
-        print(f"error {exc.tag}: {exc}", file=sys.stderr)
-        return exc.code
+        code, tag, message = exc.code, exc.tag, str(exc)
+    except ConfigError as exc:
+        code, tag, message = EXIT_CONFIG, "E_CONFIG", str(exc)
+    except _DATA_ERRORS as exc:
+        code, tag, message = EXIT_DATA, "E_DATA", str(exc)
+    except DivergenceError as exc:
+        code, tag, message = EXIT_DIVERGED, "E_DIVERGED", f"run diverged: {exc}"
+    except EvaluationError as exc:
+        code, tag, message = EXIT_DIVERGED, "E_DIVERGED", f"component evaluation blew up: {exc}"
+    print(f"error {tag}: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -347,6 +347,9 @@ class SneProblem(CompositionProblem):
             raise ProblemConstructionError("need at least two points")
         if int(embed_dim) < 1:
             raise ProblemConstructionError("embed_dim must be at least 1")
+        if n * int(embed_dim) > np.iinfo(np.intp).max:
+            # the iterate's n * embed_dim coordinates must fit one NumPy array
+            raise ProblemConstructionError(f"embed_dim {embed_dim} is too large for {n} points")
         if not np.all(np.isfinite(p)):
             raise ProblemConstructionError("similarities must be finite")
         if np.any(p < 0.0):

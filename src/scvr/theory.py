@@ -177,7 +177,6 @@ def suggest_parameters(
     constants: SmoothnessConstants,
     algorithm: str = "scvr1",
     b: int = 1,
-    scale: float = 1.0,
 ) -> TheoryParams:
     """Sample sizes, auxiliary weights, step size and epoch length that
     satisfy the rate guarantee's premises.
@@ -192,31 +191,19 @@ def suggest_parameters(
         eta = b * n^-alpha / (2 L_f (BG^4 LF^2/A + BF^2 LG^2/B + b L_f^2))
 
     The epoch length is the largest K keeping the geometric growth
-    factor below e: K = floor(scale / (Y - 1)) with Y the recursion
-    ratio at these parameters.  That K is of order n^(3 alpha / 2)
-    (divided by b for mini-batch) with the smoothness constants folded
-    in; ``scale`` is the single knob standing in for the analysis'
-    unspecified universal constants and multiplies both K and eta.
+    factor below e: K = floor(1 / (Y - 1)) with Y the recursion ratio
+    at these parameters.  That K is of order n^(3 alpha / 2) (divided by
+    b for mini-batch) with the smoothness constants folded in; the
+    analysis' unspecified universal constants are taken as 1.
     """
     if b < 1:
         raise ValueError("b must be at least 1")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
     alpha = rate_exponent(n, m, algorithm)
     bg4lf2 = constants.b_g**4 * constants.l_f_outer**2
     bf2lg2 = constants.b_f**2 * constants.l_g**2
     h0 = d0 = alpha / 2.0
     h = n**h0 / (_E - 1.0)
     d = float(n**d0)
-    if algorithm == "svrg":
-        sample_a = m
-        sample_b = m
-        eta = scale * n ** (-alpha) / (4.0 * constants.l_f**3)
-        cap_k = max(1, math.floor(scale * n ** (1.5 * alpha)))
-        return TheoryParams(
-            alpha=alpha, a0=alpha, b0_jac=alpha, h0=h0, d0=d0, h=h, d=d,
-            eta=eta, cap_k=cap_k, sample_a=sample_a, sample_b=sample_b, batch_b=1,
-        )
     sample_a = max(1, math.ceil(bg4lf2 * n**alpha / 2.0))
     sample_b = max(1, math.ceil(bf2lg2 * n**alpha))
     lf = constants.l_f
@@ -227,13 +214,12 @@ def suggest_parameters(
         eta = (b_out * n ** (-alpha)) / (
             2.0 * lf * (bg4lf2 / sample_a + bf2lg2 / sample_b + b_out * lf**2)
         )
-    eta *= scale
     params = TheoryParams(
         alpha=alpha, a0=alpha, b0_jac=alpha, h0=h0, d0=d0, h=h, d=d,
         eta=eta, cap_k=1, sample_a=sample_a, sample_b=sample_b, batch_b=b_out or 1,
     )
     ratio, _ = _ratio_offset(params, constants, b_out)
-    params.cap_k = max(1, math.floor(scale / (ratio - 1.0)))
+    params.cap_k = max(1, math.floor(1.0 / (ratio - 1.0)))
     return params
 
 

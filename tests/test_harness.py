@@ -326,6 +326,8 @@ def _corrupt(tmp_path, where, name, value):
         cfg["problem"][name] = value
     elif where == "affine":
         cfg["problem"] = {"kind": "affine_quadratic", name: value}
+    elif where == "sne_json":
+        cfg["problem"] = {"kind": "sne_json", name: value}
     elif where == "algorithm":
         cfg["algorithms"][0][name] = value
     elif where == "entry":
@@ -361,6 +363,13 @@ BAD_CONFIG_FIELDS = (
        pytest.param("algorithm", "eta", 10**400, id="algorithm-eta-int_beyond_float")]
     # problem seeds below 0
     + [("problem", "seed", -1), ("affine", "seed", -1)]
+    # path fields that are not non-empty strings: no number may be taken
+    # for a file descriptor, and nothing is opened or run
+    + [("config", "output", value) for value in (1, None, [], "")]
+    + [("sne", "data", value) for value in (True, 2, None, "")]
+    + [("sne_json", "path", value) for value in (2, None, {}, "")]
+    # epoch and step counts beyond the range the output index is drawn from
+    + [("algorithm", name, 2**64 + 1) for name in ("epochs_s", "inner_k")]
 )
 
 
@@ -622,3 +631,70 @@ def test_sweep_non_finite_or_negative_eta_is_config_error(tmp_path, capsys, etas
     assert main(["sweep", "--config", str(path), "--etas", etas]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error E_CONFIG:")
+
+
+def test_sne_embed_dim_beyond_numpy_size_limit_is_one_data_error_line(tmp_path, capsys):
+    # the iterate has n * embed_dim coordinates; the problem refuses it
+    # before the run draws a start point that large
+    path, _ = _sne_config(tmp_path, embed_dim=10**30)
+    assert main(["run", "--config", str(path)]) == EXIT_DATA
+    assert "embed_dim" in _one_error_line(capsys, "E_DATA")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+# -- output paths --------------------------------------------------------------------
+
+
+def _output_argv(tmp_path, output, target):
+    """argv of a small command that writes its ``output`` to ``target``."""
+    if output == "embed":
+        data, _ = problems.make_cluster_data(12, clusters=2, dim=5, seed=2)
+        problems.save_matrix(data, tmp_path / "clusters.csv")
+        return ["embed", "--data", str(tmp_path / "clusters.csv"), "--epochs", "1",
+                "--steps", "2", "--output", target]
+    if output == "check-params":
+        return ["check-params", "--n", "100", "--m", "100", "--output", target]
+    if output.endswith("trace"):
+        path, _ = _write_config(tmp_path, output=target)
+    else:
+        path, _ = _write_config(tmp_path)
+    if output == "run-trace":
+        return ["run", "--config", str(path)]
+    report = ["--report", target] if output == "sweep-report" else []
+    return ["sweep", "--config", str(path), "--etas", "0.05", *report]
+
+
+@pytest.mark.parametrize("output", ["run-trace", "sweep-trace", "sweep-report", "embed",
+                                    "check-params"])
+def test_output_path_that_is_a_directory_is_one_data_error_line(tmp_path, capsys, output):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(_output_argv(tmp_path, output, str(target))) == EXIT_DATA
+    assert str(target) in _one_error_line(capsys, "E_DATA")
+
+
+# -- wall timing ---------------------------------------------------------------------
+
+
+def _wall_ms_by_variant(trace_path) -> dict[str, set[str]]:
+    lines = trace_path.read_text().splitlines()
+    assert lines[0] == TRACE_HEADER
+    walls: dict[str, set[str]] = {}
+    for line in lines[1:]:
+        fields = line.split(",")
+        walls.setdefault(fields[0], set()).add(fields[-1])
+    return walls
+
+
+def test_run_timing_wall_records_one_whole_millisecond_count_per_variant(tmp_path):
+    path, cfg = _write_config(tmp_path)
+    trace = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(path), "--timing", "wall"]) == EXIT_OK
+    walls = _wall_ms_by_variant(trace)
+    assert sorted(walls) == sorted(entry["variant"] for entry in cfg["algorithms"])
+    for values in walls.values():
+        (value,) = values  # every row of a variant carries the same count
+        assert value.isdigit() and str(int(value)) == value
+    # the default leaves the column at 0
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    assert set().union(*_wall_ms_by_variant(trace).values()) == {"0"}

@@ -221,6 +221,40 @@ def test_divergence_message_names_epoch_step_and_last_record(affine_small):
     assert repr(last.grad_norm_sq) in str(err)
 
 
+def _nan_entry_step(problem, x, snap, stream, sizes, ledger):
+    direction = np.zeros(problem.dim_x)
+    direction[1] = np.nan
+    return direction
+
+
+def test_divergence_guard_catches_a_nan_iterate(affine_small, monkeypatch):
+    # a NaN entry fails |x| <= L as well as |x| > L: only a guard that
+    # tests the first, or finiteness, stops the run at this step
+    spec = optimizers.VARIANTS["gd"]
+    monkeypatch.setitem(
+        optimizers.VARIANTS, "gd", optimizers.Variant(spec.snapshot, spec.step_cost, _nan_entry_step)
+    )
+    with pytest.raises(DivergenceError, match="at epoch 0, step 0"):
+        run(affine_small, _cfg("gd", epochs_s=1, inner_k=3, record_every=1), x0=np.ones(3))
+
+
+LIMIT = optimizers.DIVERGENCE_LIMIT
+PAST_LIMIT = np.nextafter(LIMIT, np.inf)
+
+
+@pytest.mark.parametrize("value,diverged", [
+    (0.0, False), (LIMIT, False), (-LIMIT, False), (PAST_LIMIT, True), (-PAST_LIMIT, True),
+    (np.nan, True), (np.inf, True), (-np.inf, True),
+])
+def test_divergence_guard_box_edges(value, diverged):
+    x = np.array([0.5, value, -0.5])
+    if diverged:
+        with pytest.raises(DivergenceError):
+            optimizers._guard(x, [], QueryLedger(), 0, 0)
+    else:
+        optimizers._guard(x, [], QueryLedger(), 0, 0)
+
+
 def test_divergence_guard_without_records_says_so():
     # run() records before its first step, so only a direct call has none
     with pytest.raises(DivergenceError, match="at epoch 0, step 0 \\(no trace record yet\\)"):
