@@ -14,21 +14,13 @@ embed         normalize -> PCA -> neighbor embedding -> coordinates CSV
 sweep         re-run one config over a step-size grid, keep the best
 
 Relative output paths resolve against $SCVR_OUT_DIR when it is set.
-Commands raise; :func:`main` alone turns a failure into one
-machine-parseable line ``error <CODE>: <message>`` on stderr and a
-nonzero exit status:
-
-E_ARGS      (2)  a ``check-params`` argument out of range
-E_CONFIG    (2)  a config that is not UTF-8 JSON, a bad config field
-                 (path fields must be non-empty strings), unallocatable
-                 sizes, a bad ``embed`` argument or eta grid, a budget
-                 that does not cover the startup cost
-E_DATA      (3)  a file a command reads (a config, a file it names,
-                 ``embed``'s data) that is missing, unreadable or cannot
-                 form a problem, or an output path that cannot be written
-E_DIVERGED  (4)  an iterate left the finite box or a component evaluation
-                 turned non-finite; for ``sweep``, every step size of a
-                 variant did
+Commands raise; :func:`main` alone turns a failure into one line
+``error <CODE>: <message>`` on stderr and an exit status: E_ARGS and
+E_CONFIG (2) for a bad argument, a bad config field (path fields must be
+non-empty strings) or unallocatable sizes, E_DATA (3) for a file a
+command reads or writes that is missing, unreadable, unwritable or
+cannot form a problem, and E_DIVERGED (4) for a run that left the
+finite box or met a non-finite component value.
 
 Trace CSVs carry a wall_ms column.  Timing is off by default (the
 column reads 0) so that identical config and seed reproduce the file
@@ -66,8 +58,6 @@ class ConfigError(ValueError):
 
 
 class CliFailure(Exception):
-    """A failure that names its own exit status and tag."""
-
     def __init__(self, code: int, tag: str, message: str):
         super().__init__(message)
         self.code = code
@@ -584,9 +574,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  The one place where a failure becomes an
-    error line and an exit status; any other exception is a fault and
-    propagates."""
+    """Run one subcommand: the only place where a failure becomes an
+    error line and an exit status.  Any other exception is a fault."""
     args = _build_parser().parse_args(argv)
     try:
         # every component value and iterate is checked for finiteness, so
