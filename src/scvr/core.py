@@ -18,10 +18,13 @@ Query path contract: a charged query is evaluated only by a batch
 helper (``query_inner_values``, ``query_inner_jacobians``,
 ``query_outer_values``, ``query_outer_gradients``).  It checks every
 index, then evaluates the components of one kind at one point with one
-call of the problem's batch method.  Accounting is not batched: the
-helper then calls the module-level ``query_<kind>`` once per index, in
-batch order, which charges the ledger by 1 and checks that index's row
-for finiteness, so the first non-finite row raises.  A single query is a
+call of the problem's batch method, and checks the returned stack for
+finiteness once.  If it passes, the helper calls the module-level
+``query_<kind>`` once per index, in batch order; each call only charges
+the ledger by 1, and it stays one call per query so that the traced
+benchmark can count charges.  If a row has a non-finite entry, the rows
+up to and including the first such row are charged and
+:class:`EvaluationError` names its index.  A single query is a
 one-index batch.  The per-component methods stay as the reference; the
 default batch methods and the dense form below are what call them.
 
@@ -36,12 +39,12 @@ Jacobian as an operator (the form the snapshot, ``full_gradient`` and
 the svrg step use).  :func:`inner_jacobian_full` sums the dense
 component Jacobians instead; it is the reference that the operator and
 the dense estimators are checked against, and no run path calls it.
-The finiteness check runs on the returned form.  For arrays the first
-test is the squared norm ``vdot(row, row)``: any NaN or infinite entry
-makes it non-finite.  Only when it is non-finite does the exact
-elementwise test run, so finite rows whose squared norm overflows still
-pass, and the set of rows that raise :class:`EvaluationError` is
-exactly the set with a non-finite entry.
+The finiteness check runs on the returned form.  Its first test is the
+squared norm ``vdot(rows, rows)`` of the whole stack: any NaN or
+infinite entry makes it non-finite.  Only when it is non-finite does the
+exact elementwise test run, so finite stacks whose squared norm
+overflows still pass, and a batch raises :class:`EvaluationError`
+exactly when one of its rows has a non-finite entry.
 
 Batched sums keep the per-component addition order: :func:`sum_rows`
 adds a stack's rows in index order, as the loops it replaced did.
@@ -96,9 +99,10 @@ class SmoothnessConstants:
 class QueryLedger:
     """Counter of component-function evaluations, split by kind.
 
-    Every component evaluation routed through the ``query_*`` helpers
-    below increments exactly one category by exactly 1.  The ledger is
-    not synchronized.
+    Every charged query increments exactly one category by exactly 1,
+    through one call of the ``query_<kind>`` for its kind, which a batch
+    helper below makes once per index after checking the batch.  The
+    ledger is not synchronized.
     """
 
     inner_value_queries: int = 0
@@ -177,8 +181,8 @@ class CompositionProblem(abc.ABC):
     per-component methods, which stay the reference; a problem overrides
     them with one vectorised kernel per kind.  The batch methods are the
     only evaluation a run makes: the ``core`` batch helpers call them,
-    after checking the indices, and charge each row with one
-    ``query_<kind>`` call.
+    after checking the indices, check each returned stack once, and
+    charge each row with one ``query_<kind>`` call.
     """
 
     n_outer: int
@@ -263,36 +267,51 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(rows, axis=0)[-1]
 
 
-def query_inner_value(j: int, row: np.ndarray, ledger: QueryLedger) -> None:
-    """Charge one inner-value query for the row G_j(x) a batch returned,
-    and check that row."""
+def query_inner_value(j: int, ledger: QueryLedger) -> None:
+    """Charge one inner-value query, of G_j(x)."""
     ledger.inner_value_queries += 1
-    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
-        raise EvaluationError(f"inner component {j} returned a non-finite value")
 
 
-def query_inner_jacobian(j: int, row: np.ndarray, ledger: QueryLedger) -> None:
-    """Charge one inner-Jacobian query for the row a batch returned (any
-    form of dG_j(x)), and check that row."""
+def query_inner_jacobian(j: int, ledger: QueryLedger) -> None:
+    """Charge one inner-Jacobian query, of any form of dG_j(x)."""
     ledger.inner_jacobian_queries += 1
-    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
-        raise EvaluationError(f"inner Jacobian {j} returned a non-finite value")
 
 
-def query_outer_value(i: int, row: float, ledger: QueryLedger) -> None:
-    """Charge one outer-value query for the value F_i(w) a batch returned,
-    and check it."""
+def query_outer_value(i: int, ledger: QueryLedger) -> None:
+    """Charge one outer-value query, of F_i(w)."""
     ledger.outer_value_queries += 1
-    if not math.isfinite(row):
-        raise EvaluationError(f"outer component {i} returned a non-finite value")
 
 
-def query_outer_gradient(i: int, row: np.ndarray, ledger: QueryLedger) -> None:
-    """Charge one outer-gradient query for the row grad F_i(w) a batch
-    returned, and check that row."""
+def query_outer_gradient(i: int, ledger: QueryLedger) -> None:
+    """Charge one outer-gradient query, of grad F_i(w)."""
     ledger.outer_gradient_queries += 1
-    if not math.isfinite(np.vdot(row, row)) and not np.isfinite(row).all():
-        raise EvaluationError(f"outer gradient {i} returned a non-finite value")
+
+
+def _charge_checked(
+    charge, indices: Sequence[int], rows: np.ndarray, ledger: QueryLedger, label: str
+) -> np.ndarray:
+    """Check the stack ``rows`` a batch returned for ``indices`` once,
+    then charge each index in batch order with ``charge``, a
+    ``query_<kind>``.  If a row has a non-finite entry, only the rows up
+    to and including the first such row are charged, and
+    :class:`EvaluationError` names its index with ``label``.
+
+    The charge stays one call per index because the traced benchmark
+    (``perfbench/spans.py``) swaps this module's ``query_<kind>`` globals
+    for counting wrappers and requires their calls to equal the ledger by
+    kind, so each batch helper passes the global it reads at call time.
+    One addition of ``len(indices)`` waits for spans that record the
+    ledger delta instead."""
+    if not math.isfinite(np.vdot(rows, rows)):
+        finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+        if not finite.all():
+            bad = int(finite.argmin())
+            for k in indices[: bad + 1]:
+                charge(k, ledger)
+            raise EvaluationError(f"{label} {indices[bad]} returned a non-finite value")
+    for k in indices:
+        charge(k, ledger)
+    return rows
 
 
 def _check_indices(indices: Sequence[int], count: int, side: str) -> None:
@@ -308,9 +327,7 @@ def query_inner_values(
     rows; one :func:`query_inner_value` call per index."""
     _check_indices(js, problem.m_inner, "inner")
     rows = problem.inner_values(js, x)
-    for j, row in zip(js, rows):
-        query_inner_value(j, row, ledger)
-    return rows
+    return _charge_checked(query_inner_value, js, rows, ledger, "inner component")
 
 
 def query_inner_jacobians(
@@ -335,9 +352,7 @@ def query_inner_jacobians(
         rows = np.stack([problem.inner_component_jacobian(j, x) for j in js])
     else:
         rows = problem.inner_vjps(js, x, v)
-    for j, row in zip(js, rows):
-        query_inner_jacobian(j, row, ledger)
-    return rows
+    return _charge_checked(query_inner_jacobian, js, rows, ledger, "inner Jacobian")
 
 
 def query_outer_values(
@@ -347,9 +362,7 @@ def query_outer_values(
     one :func:`query_outer_value` call per index."""
     _check_indices(is_, problem.n_outer, "outer")
     rows = problem.outer_values(is_, w)
-    for i, row in zip(is_, rows):
-        query_outer_value(i, row, ledger)
-    return rows
+    return _charge_checked(query_outer_value, is_, rows, ledger, "outer component")
 
 
 def query_outer_gradients(
@@ -359,9 +372,7 @@ def query_outer_gradients(
     call, as rows; one :func:`query_outer_gradient` call per index."""
     _check_indices(is_, problem.n_outer, "outer")
     rows = problem.outer_gradients(is_, w)
-    for i, row in zip(is_, rows):
-        query_outer_gradient(i, row, ledger)
-    return rows
+    return _charge_checked(query_outer_gradient, is_, rows, ledger, "outer gradient")
 
 
 # Output bytes a full evaluation asks of one batch call.  The embedding

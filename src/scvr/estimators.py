@@ -24,8 +24,8 @@ operator they check, and charge the caller's ledger 2B or 2b queries.
 
 Every estimator evaluates each half of a batch (the draws at x, the
 same draws at x_tilde) with one call of a ``core`` batch helper, which
-charges and checks one query at a time, and adds the rows in draw order
-as per-draw loops would.
+checks the batch once and charges one query per draw, and adds the rows
+in draw order as per-draw loops would.
 """
 
 from __future__ import annotations

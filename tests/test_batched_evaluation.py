@@ -1,7 +1,9 @@
 """Batched component evaluation: every problem's batch methods against
 the stacked per-component methods, the ``core`` batch helpers' index,
-charge and finiteness contract, the in-order row sum, and the
-benchmark's own span check run in-process on every variant."""
+charge and finiteness contract (one finiteness check per stack, equal
+to checking each row; one charge-only ``query_<kind>`` call per charged
+query), the in-order row sum, and the benchmark's own span check run
+in-process on every variant and on a raising batch."""
 
 import inspect
 import math
@@ -252,6 +254,87 @@ def test_batch_helper_returns_the_rows_for_one_charge_each(helper):
     assert ledger.total == getattr(ledger, kind) == 3
 
 
+class PreparedDenseProblem(PreparedBatchProblem):
+    """The dense Jacobian form stacks per-component calls: each returns
+    the next prepared row."""
+
+    def inner_component_jacobian(self, j, x):
+        self.batch_calls += 1
+        return self.rows[self.batch_calls - 1]
+
+
+# helper -> (batch helper, keyword arguments, error label, ledger field,
+#            shape of one row, problem class)
+STACK_CHECK_CASES = {
+    "inner_values": (
+        core.query_inner_values, {}, "inner component", "inner_value_queries", (2,),
+        PreparedBatchProblem,
+    ),
+    "inner_vjps": (
+        core.query_inner_jacobians, {"v": np.ones(2)}, "inner Jacobian",
+        "inner_jacobian_queries", (2,), PreparedBatchProblem,
+    ),
+    "compact": (
+        core.query_inner_jacobians, {"compact": True}, "inner Jacobian",
+        "inner_jacobian_queries", (2, 3), PreparedBatchProblem,
+    ),
+    "dense": (
+        core.query_inner_jacobians, {}, "inner Jacobian", "inner_jacobian_queries",
+        (2, 3), PreparedDenseProblem,
+    ),
+    "outer_values": (
+        core.query_outer_values, {}, "outer component", "outer_value_queries", (),
+        PreparedBatchProblem,
+    ),
+    "outer_gradients": (
+        core.query_outer_gradients, {}, "outer gradient", "outer_gradient_queries", (2,),
+        PreparedBatchProblem,
+    ),
+}
+
+
+def _per_row_reference(indices, rows, label, kind):
+    """The per-row rule: charge a row, test it, and raise at the first
+    row with a non-finite entry.  Returns the ledger and the message."""
+    ledger = QueryLedger()
+    for k, row in zip(indices, rows):
+        setattr(ledger, kind, getattr(ledger, kind) + 1)
+        if not np.isfinite(row).all():
+            return ledger, f"{label} {k} returned a non-finite value"
+    return ledger, None
+
+
+@pytest.mark.parametrize("helper", sorted(STACK_CHECK_CASES))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_stack_check_equals_the_per_row_check(helper, data):
+    query, kwargs, label, kind, row_shape, problem_class = STACK_CHECK_CASES[helper]
+    indices = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=30))
+    count, width = len(indices), int(np.prod(row_shape))
+    fills = st.sampled_from([1.0, 1e200, np.finfo(float).max])
+    rows = data.draw(hnp.arrays(np.float64, (count,) + row_shape, elements=fills))
+    bad_entries = st.tuples(
+        st.integers(0, count - 1), st.integers(0, width - 1),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    for row, entry, bad in data.draw(st.lists(bad_entries, max_size=4)):
+        rows.reshape(count, width)[row, entry] = bad
+    want_ledger, want_message = _per_row_reference(indices, rows, label, kind)
+
+    problem = problem_class(rows)
+    ledger = QueryLedger()
+    if want_message is None:
+        out = query(problem, indices, np.zeros(3), ledger, **kwargs)
+        assert out.shape == rows.shape
+        assert out.tobytes() == rows.tobytes()
+    else:
+        with pytest.raises(EvaluationError) as raised:
+            query(problem, indices, np.zeros(3), ledger, **kwargs)
+        assert str(raised.value) == want_message
+    assert ledger == want_ledger
+    assert problem.batch_calls == (count if helper == "dense" else 1)
+
+
 def test_full_evaluations_take_blocks_in_index_order(monkeypatch):
     """With one component per block the full evaluations still add the
     components in index order: the same bits as one block."""
@@ -284,8 +367,8 @@ def test_full_evaluations_take_blocks_in_index_order(monkeypatch):
 
 def test_benchmark_span_check_holds_for_every_variant(monkeypatch):
     """``perfbench/spans.py`` counts calls of each ``core.query_<kind>``
-    and requires them to equal the ledger by kind: the batch helpers must
-    keep one call per charged query."""
+    and requires them to equal the ledger by kind: the batch helpers check
+    a batch once but must keep one charge-only call per charged query."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     import workloads
@@ -313,3 +396,33 @@ def test_benchmark_span_check_holds_for_every_variant(monkeypatch):
             assert out.failed == {}, label
             assert out.ledger is not None and sum(out.ledger) == out.queries, label
             assert spans.check_counts(metrics, out) == [], label
+
+
+@pytest.mark.parametrize("helper", sorted(BATCH_HELPERS))
+def test_benchmark_span_check_holds_on_a_raising_batch(helper, monkeypatch):
+    """A batch whose third row is not finite raises after three charges,
+    and the benchmark's spans count exactly those three calls."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    query, kwargs, label, kind = BATCH_HELPERS[helper]
+    problem = PreparedBatchProblem(_rows(helper, bad_at=(2,)))
+    before = dict(vars(core)), dict(vars(core.SampleStream))
+    recorder = spans.SpanRecorder()
+    inst = spans.install(recorder)
+    ledger = QueryLedger()
+    try:
+        with pytest.raises(EvaluationError, match=rf"^{label} 1 returned a non-finite value$"):
+            query(problem, [2, 4, 1, 3], np.zeros(3), ledger, **kwargs)
+    finally:
+        inst.restore()
+    summary = spans.summarize(recorder)
+    calls = {
+        f"{k}_queries": summary.get(f"core.query_{k}", {}).get("calls", 0)
+        for k in spans.QUERY_KINDS
+    }
+    assert QueryLedger(**calls) == ledger == QueryLedger(**{kind: 3})
+    after = dict(vars(core)), dict(vars(core.SampleStream))
+    for old, new in zip(before, after):
+        assert new.keys() == old.keys()
+        assert all(new[name] is value for name, value in old.items())

@@ -1,6 +1,7 @@
 """The per-query path: finiteness checks of the rows the ``core`` batch
 helpers return, bitwise agreement of the synthetic components with their
-defining formulas, and one ``query_<kind>`` call per charged query."""
+defining formulas, and one ``query_<kind>`` call per charged query, which
+only charges the ledger."""
 
 import math
 import sys
@@ -110,15 +111,12 @@ def test_largest_finite_outputs_pass():
 
 
 @pytest.mark.parametrize("kind", sorted(QUERIES))
-def test_query_kind_only_charges_and_checks_the_row(kind):
-    _, label, account, field = QUERIES[kind]
-    row = np.array([1.0, 2.0]) if kind != "outer_value" else 1.0
+def test_query_kind_charges_one_query_of_its_kind(kind):
+    _, _, account, field = QUERIES[kind]
     ledger = QueryLedger()
-    assert account(2, row, ledger) is None
+    assert account(2, ledger) is None
     assert ledger == QueryLedger(**{field: 1})
-    bad = np.array([1.0, math.nan]) if kind != "outer_value" else math.nan
-    with pytest.raises(EvaluationError, match=rf"^{label} 5 returned a non-finite value$"):
-        account(5, bad, ledger)
+    assert account(5, ledger) is None
     assert ledger == QueryLedger(**{field: 2})
 
 
