@@ -62,12 +62,13 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = build_config(args.n, args.budget, args.out)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
-    return harness_main([
-        "sweep", "--config", cfg_path, "--etas", args.etas, "--report", args.report,
-    ])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = str(Path(tmp) / "config.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        return harness_main([
+            "sweep", "--config", cfg_path, "--etas", args.etas, "--report", args.report,
+        ])
 
 
 if __name__ == "__main__":

@@ -36,17 +36,16 @@ def main() -> int:
     data, labels = problems.make_cluster_data(
         args.points, clusters=args.clusters, dim=args.dim, seed=args.seed
     )
-    with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
-        data_path = fh.name
-    problems.save_matrix(data, data_path)
-
     batch = math.ceil(args.points ** (2.0 / 3.0))
-    code = harness_main([
-        "embed", "--data", data_path, "--sigma", str(args.sigma),
-        "--eta", str(args.eta), "--epochs", "2000", "--steps", "5",
-        "--sample", "30", "--batch", str(batch),
-        "--budget", str(args.budget), "--seed", "3", "--output", args.out,
-    ])
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path = str(Path(tmp) / "data.csv")
+        problems.save_matrix(data, data_path)
+        code = harness_main([
+            "embed", "--data", data_path, "--sigma", str(args.sigma),
+            "--eta", str(args.eta), "--epochs", "2000", "--steps", "5",
+            "--sample", "30", "--batch", str(batch),
+            "--budget", str(args.budget), "--seed", "3", "--output", args.out,
+        ])
     if code != 0:
         return code
 

@@ -14,40 +14,38 @@ Component indices are 1-based in every public signature (i in 1..n,
 j in 1..m); conversion to 0-based array indexing happens inside the
 concrete problem classes and nowhere else.
 
-Query path contract: a charged query is evaluated only by a batch
-helper (``query_inner_values``, ``query_inner_jacobians``,
-``query_outer_values``, ``query_outer_gradients``).  It checks every
-index, then evaluates the components of one kind at one point with one
-call of the problem's batch method, and checks the returned stack for
-finiteness once.  If it passes, the helper calls the module-level
-``query_<kind>`` once per index, in batch order; each call only charges
-the ledger by 1, and it stays one call per query so that the traced
-benchmark can count charges.  If a row has a non-finite entry, the rows
-up to and including the first such row are charged and
-:class:`EvaluationError` names its index.  A single query is a
-one-index batch.  The per-component methods stay as the reference; the
-default batch methods and the dense form below are what call them.
+Query path contract: a charged query is evaluated only by one of six
+batch helpers, one form each: ``query_inner_values`` (G_j),
+``query_inner_vjps`` (dG_j(x)^T v, the form the stochastic steps use),
+``query_compact_jacobians`` (the problem's compact part of dG_j(x),
+from whose stack ``CompositionProblem.assemble_mean_jacobian`` builds
+the exact mean Jacobian as an operator for the snapshot,
+``full_gradient`` and the svrg step), ``query_inner_jacobians`` (the
+dense (M, N) dG_j(x), stacked from the per-component method),
+``query_outer_values`` (F_i) and ``query_outer_gradients`` (grad F_i).
+Each is one call of the private ``_query``, which checks every index,
+evaluates the components of one kind at one point with one call, and
+checks the returned stack for finiteness once.  If it passes,
+``_query`` calls the module-level ``query_<kind>`` once per index, in
+batch order; each call only charges the ledger by 1, and it stays one
+call per query so that the traced benchmark can count charges.  If a
+row has a non-finite entry, the rows up to and including the first such
+row are charged and :class:`EvaluationError` names its index.  A single
+query is a one-index batch.  The per-component methods stay as the
+reference; the default batch methods and the dense form are what call
+them.  :func:`inner_jacobian_full` sums the dense component Jacobians;
+it is the reference that the operator and the dense estimators are
+checked against, and no run path calls it.  The finiteness check's
+first test is the squared norm ``vdot(rows, rows)`` of the whole stack:
+any NaN or infinite entry makes it non-finite.  Only when it is
+non-finite does the exact elementwise test run, so finite stacks whose
+squared norm overflows still pass, and a batch raises
+:class:`EvaluationError` exactly when one of its rows has a non-finite
+entry.
 
-``query_inner_jacobians`` returns one of three forms of dG_j(x), one
-query each: the dense (M, N) matrix by default; the product
-dG_j(x)^T v when a vector ``v`` is given (the form the stochastic steps
-use); or, with ``compact=True``, the problem's compact part of dG_j(x)
-(the (d, n) array g[:, j]^T for the embedding problem, the dense matrix
-for the synthetics), from whose stack
-``CompositionProblem.assemble_mean_jacobian`` builds the exact mean
-Jacobian as an operator (the form the snapshot, ``full_gradient`` and
-the svrg step use).  :func:`inner_jacobian_full` sums the dense
-component Jacobians instead; it is the reference that the operator and
-the dense estimators are checked against, and no run path calls it.
-The finiteness check runs on the returned form.  Its first test is the
-squared norm ``vdot(rows, rows)`` of the whole stack: any NaN or
-infinite entry makes it non-finite.  Only when it is non-finite does the
-exact elementwise test run, so finite stacks whose squared norm
-overflows still pass, and a batch raises :class:`EvaluationError`
-exactly when one of its rows has a non-finite entry.
-
-Batched sums keep the per-component addition order: :func:`sum_rows`
-adds a stack's rows in index order, as the loops it replaced did.
+Batched sums keep the per-component addition order: every full
+evaluation queries its components a block at a time and adds them with
+:func:`sum_rows`, in index order, as the loops it replaced did.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ class QueryLedger:
     """Counter of component-function evaluations, split by kind.
 
     Every charged query increments exactly one category by exactly 1,
-    through one call of the ``query_<kind>`` for its kind, which a batch
-    helper below makes once per index after checking the batch.  The
+    through one call of the ``query_<kind>`` for its kind, which
+    ``_query`` makes once per index after checking the batch.  The
     ledger is not synchronized.
     """
 
@@ -287,14 +285,14 @@ def query_outer_gradient(i: int, ledger: QueryLedger) -> None:
     ledger.outer_gradient_queries += 1
 
 
-def _charge_checked(
-    charge, indices: Sequence[int], rows: np.ndarray, ledger: QueryLedger, label: str
-) -> np.ndarray:
-    """Check the stack ``rows`` a batch returned for ``indices`` once,
-    then charge each index in batch order with ``charge``, a
-    ``query_<kind>``.  If a row has a non-finite entry, only the rows up
-    to and including the first such row are charged, and
-    :class:`EvaluationError` names its index with ``label``.
+def _query(charge, evaluate, indices, count, side, label, ledger, *args) -> np.ndarray:
+    """The one path of every charged query: check that each index lies in
+    1..count, evaluate the batch with one call ``evaluate(indices,
+    *args)``, check the returned stack once, then charge each index in
+    batch order with ``charge``, a ``query_<kind>``.  If a row has a
+    non-finite entry, only the rows up to and including the first such
+    row are charged, and :class:`EvaluationError` names its index with
+    ``label``.
 
     The charge stays one call per index because the traced benchmark
     (``perfbench/spans.py``) swaps this module's ``query_<kind>`` globals
@@ -302,6 +300,10 @@ def _charge_checked(
     kind, so each batch helper passes the global it reads at call time.
     One addition of ``len(indices)`` waits for spans that record the
     ledger delta instead."""
+    for k in indices:
+        if not 1 <= k <= count:
+            raise IndexError(f"{side} component index {k} outside 1..{count}")
+    rows = evaluate(indices, *args)
     if not math.isfinite(np.vdot(rows, rows)):
         finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
         if not finite.all():
@@ -314,45 +316,44 @@ def _charge_checked(
     return rows
 
 
-def _check_indices(indices: Sequence[int], count: int, side: str) -> None:
-    for k in indices:
-        if not 1 <= k <= count:
-            raise IndexError(f"{side} component index {k} outside 1..{count}")
-
-
 def query_inner_values(
     problem: CompositionProblem, js: Sequence[int], x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """G_j(x) for j in ``js`` from one ``problem.inner_values`` call, as
     rows; one :func:`query_inner_value` call per index."""
-    _check_indices(js, problem.m_inner, "inner")
-    rows = problem.inner_values(js, x)
-    return _charge_checked(query_inner_value, js, rows, ledger, "inner component")
+    return _query(query_inner_value, problem.inner_values, js, problem.m_inner, "inner",
+                  "inner component", ledger, x)
+
+
+def query_inner_vjps(
+    problem: CompositionProblem, js: Sequence[int], x: np.ndarray, ledger: QueryLedger,
+    v: np.ndarray,
+) -> np.ndarray:
+    """dG_j(x)^T v for j in ``js`` from one ``problem.inner_vjps`` call, as
+    rows; one :func:`query_inner_jacobian` call per index."""
+    return _query(query_inner_jacobian, problem.inner_vjps, js, problem.m_inner, "inner",
+                  "inner Jacobian", ledger, x, v)
+
+
+def query_compact_jacobians(
+    problem: CompositionProblem, js: Sequence[int], x: np.ndarray, ledger: QueryLedger
+) -> np.ndarray:
+    """The compact parts of dG_j(x) for j in ``js`` from one
+    ``problem.compact_jacobians`` call, stacked; one
+    :func:`query_inner_jacobian` call per index."""
+    return _query(query_inner_jacobian, problem.compact_jacobians, js, problem.m_inner,
+                  "inner", "inner Jacobian", ledger, x)
 
 
 def query_inner_jacobians(
-    problem: CompositionProblem,
-    js: Sequence[int],
-    x: np.ndarray,
-    ledger: QueryLedger,
-    v: np.ndarray | None = None,
-    *,
-    compact: bool = False,
+    problem: CompositionProblem, js: Sequence[int], x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
-    """One form of dG_j(x) for j in ``js``, as rows: the products
-    dG_j(x)^T v from ``problem.inner_vjps`` when ``v`` is given; the
-    compact parts from ``problem.compact_jacobians`` when ``compact`` is
-    true (then ``v`` must be None); otherwise the dense (M, N) Jacobians,
-    stacked from the per-component method (the reference form).  One
+    """The dense (M, N) Jacobians dG_j(x) for j in ``js``, stacked from
+    the per-component method (the reference form); one
     :func:`query_inner_jacobian` call per index."""
-    _check_indices(js, problem.m_inner, "inner")
-    if compact:
-        rows = problem.compact_jacobians(js, x)
-    elif v is None:
-        rows = np.stack([problem.inner_component_jacobian(j, x) for j in js])
-    else:
-        rows = problem.inner_vjps(js, x, v)
-    return _charge_checked(query_inner_jacobian, js, rows, ledger, "inner Jacobian")
+    return _query(query_inner_jacobian,
+                  lambda js, x: np.stack([problem.inner_component_jacobian(j, x) for j in js]),
+                  js, problem.m_inner, "inner", "inner Jacobian", ledger, x)
 
 
 def query_outer_values(
@@ -360,9 +361,8 @@ def query_outer_values(
 ) -> np.ndarray:
     """F_i(w) for i in ``is_`` from one ``problem.outer_values`` call;
     one :func:`query_outer_value` call per index."""
-    _check_indices(is_, problem.n_outer, "outer")
-    rows = problem.outer_values(is_, w)
-    return _charge_checked(query_outer_value, is_, rows, ledger, "outer component")
+    return _query(query_outer_value, problem.outer_values, is_, problem.n_outer, "outer",
+                  "outer component", ledger, w)
 
 
 def query_outer_gradients(
@@ -370,9 +370,8 @@ def query_outer_gradients(
 ) -> np.ndarray:
     """grad F_i(w) for i in ``is_`` from one ``problem.outer_gradients``
     call, as rows; one :func:`query_outer_gradient` call per index."""
-    _check_indices(is_, problem.n_outer, "outer")
-    rows = problem.outer_gradients(is_, w)
-    return _charge_checked(query_outer_gradient, is_, rows, ledger, "outer gradient")
+    return _query(query_outer_gradient, problem.outer_gradients, is_, problem.n_outer, "outer",
+                  "outer gradient", ledger, w)
 
 
 # Output bytes a full evaluation asks of one batch call.  The embedding
@@ -384,7 +383,8 @@ FULL_BLOCK_BYTES = 1 << 18
 
 def _index_blocks(problem: CompositionProblem, count: int):
     """1..count as consecutive ranges of at most FULL_BLOCK_BYTES of
-    length-M outputs."""
+    length-M outputs (N times that for the dense Jacobians of the
+    reference)."""
     size = max(1, FULL_BLOCK_BYTES // (8 * problem.dim_w))
     for start in range(1, count + 1, size):
         yield range(start, min(start + size, count + 1))
@@ -411,10 +411,9 @@ def inner_jacobian_full(
     problem: CompositionProblem, x: np.ndarray, ledger: QueryLedger
 ) -> np.ndarray:
     """Exact mean Jacobian dG(x) = (1/m) sum_j dG_j(x) as a dense matrix,
-    summed from the stacked dense component Jacobians: the reference for
+    summed from the dense component Jacobians: the reference for
     :func:`mean_jacobian`.  Costs m queries."""
-    js = range(1, problem.m_inner + 1)
-    return sum_rows(query_inner_jacobians(problem, js, x, ledger)) / problem.m_inner
+    return _full_mean(query_inner_jacobians, problem, problem.m_inner, x, ledger)
 
 
 def mean_jacobian(
@@ -424,7 +423,7 @@ def mean_jacobian(
     the problem from the stack of m compact queries.  Costs m queries."""
     js = range(1, problem.m_inner + 1)
     return problem.assemble_mean_jacobian(
-        query_inner_jacobians(problem, js, x, ledger, compact=True)
+        query_compact_jacobians(problem, js, x, ledger)
     )
 
 
@@ -449,12 +448,7 @@ def objective(
 ) -> float:
     """Exact objective value f(x).  Costs m+n queries."""
     value = inner_full(problem, x, ledger)
-    # a 1-D reduce would sum pairwise: the values are added in a loop
-    acc = None
-    for block in _index_blocks(problem, problem.n_outer):
-        for out in query_outer_values(problem, block, value, ledger).tolist():
-            acc = out if acc is None else acc + out
-    return acc / problem.n_outer
+    return float(_full_mean(query_outer_values, problem, problem.n_outer, value, ledger))
 
 
 _MASK64 = (1 << 64) - 1

@@ -45,6 +45,7 @@ from scvr.core import (
     outer_gradient_full,
     query_inner_jacobians,
     query_inner_values,
+    query_inner_vjps,
     query_outer_gradients,
     sum_rows,
 )
@@ -214,8 +215,8 @@ def _mean_product_difference(
 ) -> np.ndarray:
     """(1/B) sum_{j in batch} [ dG_j(x)^T u_fresh - dG_j(x_tilde)^T u_anchor ].
     Costs 2B queries."""
-    fresh = query_inner_jacobians(problem, jac_batch, x, ledger, u_fresh)
-    anchor = query_inner_jacobians(problem, jac_batch, snap.x_tilde, ledger, u_anchor)
+    fresh = query_inner_vjps(problem, jac_batch, x, ledger, u_fresh)
+    anchor = query_inner_vjps(problem, jac_batch, snap.x_tilde, ledger, u_anchor)
     return sum_rows(fresh - anchor) / len(jac_batch)
 
 

@@ -79,6 +79,22 @@ _ALGO_FIELDS = {
     "variant", "eta", "epochs_s", "inner_k",
     "sample_a", "sample_b", "batch_b", "seed", "record_every",
 }
+_TOP_FIELDS = {"problem", "algorithms", "output", "seed", "record_every", "init_scale", "budget"}
+_SIZE_FIELDS = {"kind", "n", "m", "dim_x", "dim_w", "seed"}
+_PROBLEM_FIELDS = {
+    "affine_quadratic": _SIZE_FIELDS,
+    "nonconvex_synthetic": _SIZE_FIELDS,
+    "sne": {"kind", "data", "pca_dim", "sigma", "embed_dim"},
+    "sne_json": {"kind", "path"},
+}
+
+
+def _known_fields(block: dict, known: set, where: str) -> None:
+    """A :class:`ConfigError` naming every field of ``block`` not in
+    ``known``: a misspelled field is never silently left at its default."""
+    unknown = set(block) - known
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
 def _field(block: dict, name: str, default, convert, where: str):
@@ -112,6 +128,9 @@ def build_problem(block: dict):
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("problem: missing field 'kind'")
     kind = block["kind"]
+    if not isinstance(kind, str) or kind not in _PROBLEM_FIELDS:
+        raise ConfigError(f"problem: unknown kind {kind!r}")
+    _known_fields(block, _PROBLEM_FIELDS[kind], "problem")
 
     def num(name, default, convert=int):
         return _field(block, name, default, convert, "problem")
@@ -139,14 +158,13 @@ def build_problem(block: dict):
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ConfigError(f"problem: field 'sigma' must be finite and positive, got {sigma!r}")
         return sne_from_csv(path, sigma, size("embed_dim", 2), target)
-    if kind == "sne_json":
-        path = _path_field(block, "path", None, "problem")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return problems.SneProblem.from_json(fh.read())
-        except (problems.ProblemConstructionError, UnicodeDecodeError) as exc:
-            raise problems.ProblemConstructionError(f"{path}: {exc}") from exc
-    raise ConfigError(f"problem: unknown kind {kind!r}")
+    # sne_json
+    path = _path_field(block, "path", None, "problem")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return problems.SneProblem.from_json(fh.read())
+    except (problems.ProblemConstructionError, UnicodeDecodeError) as exc:
+        raise problems.ProblemConstructionError(f"{path}: {exc}") from exc
 
 
 # What a file the CLI reads or writes raises when it is missing,
@@ -171,9 +189,7 @@ def sne_from_csv(path: str, sigma: float, embed_dim: int, pca_dim: int):
 def _algo_config(entry: dict, default_seed: int, default_record: int) -> OptimizerConfig:
     if not isinstance(entry, dict):
         raise ConfigError(f"algorithms: each entry must be an object, got {entry!r}")
-    unknown = set(entry) - _ALGO_FIELDS
-    if unknown:
-        raise ConfigError(f"algorithms: unknown field(s) {sorted(unknown)}")
+    _known_fields(entry, _ALGO_FIELDS, "algorithms")
     if "variant" not in entry:
         raise ConfigError("algorithms: missing field 'variant'")
     if "eta" not in entry:
@@ -215,6 +231,7 @@ _NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "array is too big")
 
 def prepare_experiment(cfg: dict):
     """Validate a config dict; returns (problem, [OptimizerConfig], meta)."""
+    _known_fields(cfg, _TOP_FIELDS, "config")
     for required in ("problem", "algorithms"):
         if required not in cfg:
             raise ConfigError(f"missing field '{required}'")

@@ -43,7 +43,7 @@ from scvr.core import (
     inner_full,
     mean_jacobian,
     objective,
-    query_inner_jacobians,
+    query_inner_vjps,
     query_outer_gradients,
     sample_indices,
 )
@@ -89,7 +89,7 @@ def _step_sgd(problem, x, snap, stream, sizes, ledger):
     i = stream.randrange(problem.n_outer) + 1
     j = stream.randrange(problem.m_inner) + 1
     (outer_i,) = query_outer_gradients(problem, [i], value, ledger)
-    return query_inner_jacobians(problem, [j], x, ledger, outer_i)[0]
+    return query_inner_vjps(problem, [j], x, ledger, outer_i)[0]
 
 
 def _step_gd(problem, x, snap, stream, sizes, ledger):

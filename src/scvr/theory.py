@@ -233,7 +233,6 @@ class QueryComplexityReport:
     """
 
     m0: float
-    b0: float | None
     scvr_exponent: float
     scvr_alpha: float
     svrg_exponent: float
@@ -256,7 +255,6 @@ def predict_query_complexity(n: int, m: int, b: int | None = None) -> QueryCompl
     scvr_exp = 0.8 if m0 <= 1.0 else 0.8 * m0
     svrg_exp = (2.0 / 3.0 + m0 / 3.0) if m0 <= 1.0 else m0
     mb_outer = mb_full = mb_nonpar = None
-    b0 = None
     if b is not None:
         if b < 1:
             raise ValueError("b must be at least 1")
@@ -271,7 +269,6 @@ def predict_query_complexity(n: int, m: int, b: int | None = None) -> QueryCompl
             mb_nonpar = 0.8 * m0 - b0 / 5.0 if b0 <= 2.0 / 3.0 else 2.0 * m0 / 3.0
     return QueryComplexityReport(
         m0=m0,
-        b0=b0,
         scvr_exponent=scvr_exp,
         scvr_alpha=scvr_alpha,
         svrg_exponent=svrg_exp,

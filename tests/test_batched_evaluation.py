@@ -197,10 +197,10 @@ class PreparedBatchProblem(core.CompositionProblem):
 BATCH_HELPERS = {
     "inner_values": (core.query_inner_values, {}, "inner component", "inner_value_queries"),
     "inner_vjps": (
-        core.query_inner_jacobians, {"v": np.ones(2)}, "inner Jacobian", "inner_jacobian_queries"
+        core.query_inner_vjps, {"v": np.ones(2)}, "inner Jacobian", "inner_jacobian_queries"
     ),
     "compact": (
-        core.query_inner_jacobians, {"compact": True}, "inner Jacobian", "inner_jacobian_queries"
+        core.query_compact_jacobians, {}, "inner Jacobian", "inner_jacobian_queries"
     ),
     "outer_values": (core.query_outer_values, {}, "outer component", "outer_value_queries"),
     "outer_gradients": (
@@ -271,11 +271,11 @@ STACK_CHECK_CASES = {
         PreparedBatchProblem,
     ),
     "inner_vjps": (
-        core.query_inner_jacobians, {"v": np.ones(2)}, "inner Jacobian",
+        core.query_inner_vjps, {"v": np.ones(2)}, "inner Jacobian",
         "inner_jacobian_queries", (2,), PreparedBatchProblem,
     ),
     "compact": (
-        core.query_inner_jacobians, {"compact": True}, "inner Jacobian",
+        core.query_compact_jacobians, {}, "inner Jacobian",
         "inner_jacobian_queries", (2, 3), PreparedBatchProblem,
     ),
     "dense": (
@@ -335,31 +335,77 @@ def test_stack_check_equals_the_per_row_check(helper, data):
     assert problem.batch_calls == (count if helper == "dense" else 1)
 
 
-def test_full_evaluations_take_blocks_in_index_order(monkeypatch):
-    """With one component per block the full evaluations still add the
-    components in index order: the same bits as one block."""
-    problem = _random_sne(7, 2, 3)
+def _loop_mean(component, count, point):
+    """(1/count) sum_k component(k, point) for k = 1..count, added one at
+    a time in index order."""
+    acc = None
+    for k in range(1, count + 1):
+        out = component(k, point)
+        acc = out if acc is None else acc + out
+    return acc / count
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_full_evaluations_take_blocks_in_index_order(monkeypatch, n):
+    """In one block or one component per block, the full sums have the
+    bits of an in-order loop over the per-component methods.  Past 8
+    entries NumPy's 1-D sum is pairwise, so n = 20 tells the two apart."""
+    problem = _random_sne(n, 2, 3)
+    m = problem.m_inner
     x = np.random.default_rng(3).normal(size=problem.dim_x)
-    want = [
-        core.inner_full(problem, x, QueryLedger()),
-        core.full_gradient(problem, x, QueryLedger()),
-        core.objective(problem, x, QueryLedger()),
-    ]
-    monkeypatch.setattr(core, "FULL_BLOCK_BYTES", 8)
-    ledger = QueryLedger()
-    got = [
-        core.inner_full(problem, x, ledger),
-        core.full_gradient(problem, x, ledger),
-        core.objective(problem, x, ledger),
-    ]
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
-    m, n = problem.m_inner, problem.n_outer
-    assert ledger == QueryLedger(
-        inner_value_queries=3 * m, inner_jacobian_queries=m,
-        outer_value_queries=n, outer_gradient_queries=n,
-    )
+    value = _loop_mean(problem.inner_component, m, x)
+    sums = {
+        core.inner_full: (x, value),
+        core.inner_jacobian_full: (x, _loop_mean(problem.inner_component_jacobian, m, x)),
+        core.outer_gradient_full: (
+            value, _loop_mean(problem.outer_component_gradient, n, value)
+        ),
+        core.objective: (x, _loop_mean(problem.outer_component, n, value)),
+    }
+    gradient = core.full_gradient(problem, x, QueryLedger())
+    for block_bytes in (core.FULL_BLOCK_BYTES, 8):
+        monkeypatch.setattr(core, "FULL_BLOCK_BYTES", block_bytes)
+        ledger = QueryLedger()
+        for full, (point, want) in sums.items():
+            got = full(problem, point, ledger)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), full.__name__
+        got = core.full_gradient(problem, x, ledger)
+        assert got.tobytes() == gradient.tobytes()
+        assert ledger == QueryLedger(
+            inner_value_queries=3 * m, inner_jacobian_queries=2 * m,
+            outer_value_queries=n, outer_gradient_queries=2 * n,
+        )
+
+
+class TinyTermsProblem(core.CompositionProblem):
+    """Outer values 1 and then n - 1 terms of half an ulp of 1: added in
+    index order each tiny term rounds away, while a pairwise sum adds
+    the tiny terms together first and keeps them."""
+
+    m_inner = dim_x = dim_w = 1
+
+    def __init__(self, n):
+        self.n_outer = n
+
+    def inner_component(self, j, x):
+        return x.copy()
+
+    def inner_component_jacobian(self, j, x):
+        return np.ones((1, 1))
+
+    def outer_component(self, i, w):
+        return 1.0 if i == 1 else 2.0**-53
+
+    def outer_component_gradient(self, i, w):
+        return np.zeros(1)
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_objective_adds_outer_values_in_index_order(n):
+    problem = TinyTermsProblem(n)
+    want = _loop_mean(problem.outer_component, n, np.zeros(1))
+    assert want == 1.0 / n
+    assert core.objective(problem, np.zeros(1), QueryLedger()) == want
 
 
 # -- the benchmark's span check, in-process ----------------------------------------

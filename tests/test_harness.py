@@ -370,6 +370,9 @@ BAD_CONFIG_FIELDS = (
     + [("sne_json", "path", value) for value in (2, None, {}, "")]
     # epoch and step counts beyond the range the output index is drawn from
     + [("algorithm", name, 2**64 + 1) for name in ("epochs_s", "inner_k")]
+    # misspelled fields: none may be left silently at its default
+    + [("problem", "N", 5), ("affine", "dimx", 4), ("sne", "embed_dims", 2),
+       ("sne_json", "pth", "p.json"), ("config", "recrod_every", 1)]
 )
 
 
@@ -393,6 +396,13 @@ def test_sweep_bad_config_field_is_one_config_error_line(tmp_path, capsys, where
     assert main(["sweep", "--config", str(path), "--etas", "0.005"]) == EXIT_CONFIG
     assert name in _one_error_line(capsys, "E_CONFIG")
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["nonconvex", 7, None, [1], {"n": 1}])
+def test_unknown_problem_kind_is_one_config_error_line(tmp_path, capsys, kind):
+    path = _corrupt(tmp_path, "problem", "kind", kind)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert f"problem: unknown kind {kind!r}" in _one_error_line(capsys, "E_CONFIG")
 
 
 def _run_or_sweep(command, path):

@@ -1,9 +1,9 @@
 """Jacobian queries taken as products dG_j(x)^T v: every problem's
 ``inner_component_vjp`` against its dense Jacobian, the one-call,
-one-charge contract of ``query_inner_jacobians`` with ``v`` and with
-``compact=True``, the mean-Jacobian operator against the per-component
-dense sum, and the product-form gradient estimator against the dense
-reference pair."""
+one-charge contract of ``query_inner_vjps`` (the product form) and
+``query_compact_jacobians`` (the compact form), the mean-Jacobian
+operator against the per-component dense sum, and the product-form
+gradient estimator against the dense reference pair."""
 
 import inspect
 import math
@@ -176,7 +176,7 @@ def test_sne_full_evaluations_form_no_dense_jacobian(monkeypatch):
                 )
 
 
-# -- query_inner_jacobians with a vector or compact=True -------------------------
+# -- query_inner_vjps and query_compact_jacobians ---------------------------------
 
 
 class ProductOnlyProblem(core.CompositionProblem):
@@ -210,8 +210,8 @@ class ProductOnlyProblem(core.CompositionProblem):
 def test_query_with_vector_returns_the_product_for_one_charge():
     product = np.array([1.5, -2.0])
     ledger = QueryLedger()
-    (out,) = core.query_inner_jacobians(ProductOnlyProblem(product), [2], np.zeros(2), ledger,
-                                        np.ones(4))
+    (out,) = core.query_inner_vjps(ProductOnlyProblem(product), [2], np.zeros(2), ledger,
+                                   np.ones(4))
     assert out.tobytes() == product.tobytes()
     assert ledger == QueryLedger(inner_jacobian_queries=1)
 
@@ -222,16 +222,16 @@ def test_query_with_vector_rejects_non_finite_product(bad, fill):
     product = np.array([fill, bad])
     ledger = QueryLedger()
     with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
-        core.query_inner_jacobians(ProductOnlyProblem(product), [3], np.zeros(2), ledger,
-                                   np.ones(4))
+        core.query_inner_vjps(ProductOnlyProblem(product), [3], np.zeros(2), ledger,
+                              np.ones(4))
     assert ledger.total == 1
 
 
 def test_query_with_vector_checks_the_index():
     ledger = QueryLedger()
     with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
-        core.query_inner_jacobians(ProductOnlyProblem(np.zeros(2)), [4], np.zeros(2), ledger,
-                                   np.ones(4))
+        core.query_inner_vjps(ProductOnlyProblem(np.zeros(2)), [4], np.zeros(2), ledger,
+                              np.ones(4))
     assert ledger.total == 0
 
 
@@ -245,8 +245,7 @@ class CompactOnlyProblem(ProductOnlyProblem):
 def test_compact_query_returns_the_part_for_one_charge():
     part = np.array([[1.5, -2.0]])
     ledger = QueryLedger()
-    (out,) = core.query_inner_jacobians(CompactOnlyProblem(part), [2], np.zeros(2), ledger,
-                                        compact=True)
+    (out,) = core.query_compact_jacobians(CompactOnlyProblem(part), [2], np.zeros(2), ledger)
     assert out.tobytes() == part.tobytes()
     assert ledger == QueryLedger(inner_jacobian_queries=1)
 
@@ -256,9 +255,9 @@ def test_compact_query_rejects_non_finite_part_and_checks_the_index(bad):
     ledger = QueryLedger()
     problem = CompactOnlyProblem(np.array([[1.0, bad]]))
     with pytest.raises(EvaluationError, match=r"^inner Jacobian 3 returned a non-finite value$"):
-        core.query_inner_jacobians(problem, [3], np.zeros(2), ledger, compact=True)
+        core.query_compact_jacobians(problem, [3], np.zeros(2), ledger)
     with pytest.raises(IndexError, match="inner component index 4 outside 1..3"):
-        core.query_inner_jacobians(problem, [4], np.zeros(2), ledger, compact=True)
+        core.query_compact_jacobians(problem, [4], np.zeros(2), ledger)
     assert ledger.total == 1
 
 
