@@ -23,9 +23,12 @@ the exact mean Jacobian as an operator for the snapshot,
 ``full_gradient`` and the svrg step), ``query_inner_jacobians`` (the
 dense (M, N) dG_j(x), stacked from the per-component method),
 ``query_outer_values`` (F_i) and ``query_outer_gradients`` (grad F_i).
-Each is one call of the private ``_query``, which checks every index,
-evaluates the components of one kind at one point with one call, and
-checks the returned stack for finiteness once.  If it passes,
+Each is one call of the private ``_query``, which checks that every
+index lies in range, evaluates the components of one kind at one point
+with one call, and checks the returned stack for finiteness once.  A
+non-empty step-1 ``range`` of indices, as every full evaluation passes,
+is checked by its two ends alone; any other input is checked index by
+index, so an :class:`IndexError` names the first bad index.  If it passes,
 ``_query`` calls the module-level ``query_<kind>`` once per index, in
 batch order; each call only charges the ledger by 1, and it stays one
 call per query so that the traced benchmark can count charges.  If a
@@ -294,15 +297,23 @@ def _query(charge, evaluate, indices, count, side, label, ledger, *args) -> np.n
     row are charged, and :class:`EvaluationError` names its index with
     ``label``.
 
+    A non-empty ``range`` with step 1 lies in 1..count exactly when its
+    ends do, so only ``start`` and ``stop - 1`` are compared; any other
+    ``indices``, and a range whose ends fail, are checked one index at a
+    time in order, and the first index outside names itself in the
+    :class:`IndexError`.
+
     The charge stays one call per index because the traced benchmark
     (``perfbench/spans.py``) swaps this module's ``query_<kind>`` globals
     for counting wrappers and requires their calls to equal the ledger by
     kind, so each batch helper passes the global it reads at call time.
     One addition of ``len(indices)`` waits for spans that record the
     ledger delta instead."""
-    for k in indices:
-        if not 1 <= k <= count:
-            raise IndexError(f"{side} component index {k} outside 1..{count}")
+    if not (type(indices) is range and indices.step == 1 and indices
+            and 1 <= indices.start and indices.stop - 1 <= count):
+        for k in indices:
+            if not 1 <= k <= count:
+                raise IndexError(f"{side} component index {k} outside 1..{count}")
     rows = evaluate(indices, *args)
     if not math.isfinite(np.vdot(rows, rows)):
         finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
@@ -452,6 +463,14 @@ def objective(
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# Values one refill of a SampleStream generates.
+SAMPLE_BLOCK = 1024
+
+# k * gamma mod 2^64 for k = SAMPLE_BLOCK down to 1: the state offsets of
+# one block, last value first, so that list.pop() serves them in order.
+_BLOCK_STEPS = np.arange(SAMPLE_BLOCK, 0, -1, dtype=np.uint64) * np.uint64(_GAMMA)
 
 
 class SampleStream:
@@ -471,17 +490,33 @@ class SampleStream:
     % k``), so indices are exactly uniform.  Identical seed and call
     sequence reproduce identical output on every platform.  A stream is
     single-consumer; share one per worker.
+
+    The values are generated SAMPLE_BLOCK at a time, in one vectorised
+    uint64 pass of the same recurrence (the k-th state after ``s`` is
+    s + k * 0x9E3779B97F4A7C15 mod 2^64), and ``next_u64`` serves them
+    one by one, so the sequence is the one the recurrence gives draw by
+    draw.  ``_state`` is the state after the last generated value, which
+    can be ahead of the last value served.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        self._block: list[int] = []  # generated, not yet served; next value last
+
+    def _refill(self) -> None:
+        z = np.uint64(self._state) + _BLOCK_STEPS
+        self._state = int(z[0])
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._block = z.tolist()
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        if not self._block:
+            self._refill()
+        return self._block.pop()
 
     def randrange(self, k: int) -> int:
         """Uniform integer in 0..k-1 (rejection sampling, no modulo bias)."""

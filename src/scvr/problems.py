@@ -206,20 +206,29 @@ class NonconvexSyntheticProblem(CompositionProblem):
     # targets[i - 1] taken as stacks
 
     def inner_values(self, js, x):
-        idx = [j - 1 for j in js]
-        return self.mats.take(idx, axis=0) @ x + self.offs.take(idx, axis=0)
+        return _rows(self.mats, js) @ x + _rows(self.offs, js)
 
     def inner_vjps(self, js, x, v):
-        return self.mats.take([j - 1 for j in js], axis=0).transpose(0, 2, 1) @ v
+        return _rows(self.mats, js).transpose(0, 2, 1) @ v
 
     def compact_jacobians(self, js, x):
-        return self.mats.take([j - 1 for j in js], axis=0)
+        return _rows(self.mats, js).copy()
 
     def outer_values(self, is_, w):
-        return _rho(w - self.targets.take([i - 1 for i in is_], axis=0)).sum(axis=1)
+        return _rho(w - _rows(self.targets, is_)).sum(axis=1)
 
     def outer_gradients(self, is_, w):
-        return _rho_prime(w - self.targets.take([i - 1 for i in is_], axis=0))
+        return _rho_prime(w - _rows(self.targets, is_))
+
+
+def _rows(arr: np.ndarray, ks) -> np.ndarray:
+    """arr[k - 1] for k in ``ks``, stacked.  A step-1 ``range`` inside
+    1..len(arr), as full evaluations pass, is the basic slice, a view of
+    ``arr`` that the caller must not write into; other indices go through
+    ``take``, which copies."""
+    if type(ks) is range and ks.step == 1 and 1 <= ks.start <= ks.stop <= len(arr) + 1:
+        return arr[ks.start - 1 : ks.stop - 1]
+    return arr.take([k - 1 for k in ks], axis=0)
 
 
 def make_nonconvex_synthetic(

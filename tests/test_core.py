@@ -195,6 +195,62 @@ def test_splitmix_recurrence_reference():
     assert stream.next_u64() == 0x6E789E6AA1B965F4
 
 
+def _splitmix64(seed):
+    """The documented recurrence, one value at a time in Python integers."""
+    state = seed % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
+class ScalarStream:
+    """The documented draws on the scalar recurrence; ``used`` counts the
+    64-bit values taken."""
+
+    def __init__(self, seed):
+        self.values = _splitmix64(seed)
+        self.used = 0
+
+    def next_u64(self):
+        self.used += 1
+        return next(self.values)
+
+    def randrange(self, k):
+        limit = 2**64 - 2**64 % k
+        while (z := self.next_u64()) >= limit:
+            pass
+        return z % k
+
+    def indices(self, range_max, draws):
+        return [self.randrange(range_max) + 1 for _ in range(draws)]
+
+    def uniform(self):
+        return (self.next_u64() >> 11) / 2**53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_sample_stream_equals_the_scalar_recurrence_across_refills(seed):
+    stream, ref = SampleStream(seed), ScalarStream(seed)
+    while ref.used < 3 * core.SAMPLE_BLOCK + 10:
+        assert stream.next_u64() == ref.next_u64()
+        assert stream.randrange(7) == ref.randrange(7)
+        assert stream.indices(100, 22) == ref.indices(100, 22)
+        assert stream.uniform() == ref.uniform()
+        assert stream.randrange(2**63 + 1) == ref.randrange(2**63 + 1)
+
+
+def test_randrange_rejects_about_half_the_draws_just_above_two_to_the_63():
+    # 2^64 mod (2^63 + 1) = 2^63 - 1, so draws from 2^63 + 1 up are rejected
+    k = 2**63 + 1
+    stream, ref = SampleStream(3), ScalarStream(3)
+    assert [stream.randrange(k) for _ in range(400)] == [ref.randrange(k) for _ in range(400)]
+    assert 600 <= ref.used <= 1000
+    assert stream.next_u64() == ref.next_u64()
+
+
 def test_randrange_rejects_ranges_above_two_to_the_64():
     # no 64-bit draw is below the rejection limit there, so it would never
     # return; the finite draw supply turns such a loop into a failure

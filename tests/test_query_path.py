@@ -325,3 +325,85 @@ def test_query_helper_calls_equal_ledger_by_kind_sne(variant, monkeypatch):
     data, _ = problems.make_cluster_data(7, clusters=2, dim=5, seed=3)
     problem = problems.build_sne(data, sigma=2.0, embed_dim=2)
     _check_calls_equal_ledger_by_kind(problem, 0.01, variant, monkeypatch)
+
+
+# -- index ranges: a step-1 range is checked by its ends and sliced ----------------
+
+# helper: (side, extra arguments after the ledger, given the problem)
+RANGE_HELPERS = {
+    "query_inner_values": ("inner", lambda p: ()),
+    "query_inner_vjps": ("inner", lambda p: (np.linspace(-1.0, 1.0, p.dim_w),)),
+    "query_compact_jacobians": ("inner", lambda p: ()),
+    "query_inner_jacobians": ("inner", lambda p: ()),
+    "query_outer_values": ("outer", lambda p: ()),
+    "query_outer_gradients": ("outer", lambda p: ()),
+}
+
+
+@pytest.fixture(params=["synthetic", "affine", "sne"])
+def range_problem(request):
+    if request.param == "synthetic":
+        return problems.make_nonconvex_synthetic(n=6, m=5, dim_x=3, dim_w=4, seed=2)
+    if request.param == "affine":  # the default batch methods
+        return problems.make_affine_quadratic(n=5, m=4, dim_x=3, dim_w=3, seed=1)
+    data, _ = problems.make_cluster_data(6, clusters=2, dim=5, seed=3)
+    return problems.build_sne(data, sigma=2.0, embed_dim=2)
+
+
+def _range_query(problem, helper, indices):
+    """Rows and ledger of one helper call, or its exception and ledger."""
+    side, extra = RANGE_HELPERS[helper]
+    x = np.linspace(-0.4, 0.7, problem.dim_x)
+    point = x if side == "inner" else core.inner_full(problem, x, QueryLedger())
+    ledger = QueryLedger()
+    try:
+        rows = getattr(core, helper)(problem, indices, point, ledger, *extra(problem))
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc), ledger
+    return rows.shape, rows.tobytes(), ledger
+
+
+def _count(problem, helper):
+    return problem.m_inner if RANGE_HELPERS[helper][0] == "inner" else problem.n_outer
+
+
+@pytest.mark.parametrize("helper", sorted(RANGE_HELPERS))
+def test_range_gives_the_rows_and_ledger_of_its_list(range_problem, helper):
+    count = _count(range_problem, helper)
+    for a, b in [(1, count + 1), (2, count), (count, count + 1), (3, 4)]:
+        got = _range_query(range_problem, helper, range(a, b))
+        assert isinstance(got[1], bytes)
+        assert got == _range_query(range_problem, helper, list(range(a, b)))
+
+
+@pytest.mark.parametrize("helper", sorted(RANGE_HELPERS))
+def test_range_outside_or_not_step_one_behaves_as_its_list(range_problem, helper):
+    count = _count(range_problem, helper)
+    cases = {
+        "below": range(0, 5),
+        "above": range(1, count + 2),
+        "empty": range(1, 1),
+        "step 2": range(1, count, 2),
+        "reversed": range(count, 0, -1),
+    }
+    for name, indices in cases.items():
+        got = _range_query(range_problem, helper, indices)
+        assert got == _range_query(range_problem, helper, list(indices)), name
+    side = RANGE_HELPERS[helper][0]
+    assert _range_query(range_problem, helper, cases["below"])[:2] == (
+        IndexError, f"{side} component index 0 outside 1..{count}"
+    )
+    assert _range_query(range_problem, helper, cases["above"])[:2] == (
+        IndexError, f"{side} component index {count + 1} outside 1..{count}"
+    )
+
+
+def test_compact_jacobians_of_a_full_range_do_not_alias_the_matrices():
+    problem = problems.make_nonconvex_synthetic(n=6, m=5, dim_x=3, dim_w=4, seed=2)
+    mats = problem.mats.copy()
+    stack = core.query_compact_jacobians(
+        problem, range(1, problem.m_inner + 1), np.zeros(3), QueryLedger()
+    )
+    stack[0, 0, 0] += 1.0
+    stack[-1] = 0.0
+    assert problem.mats.tobytes() == mats.tobytes()
