@@ -1,7 +1,8 @@
 """The per-query path: finiteness checks of the rows the ``core`` batch
 helpers return, bitwise agreement of the synthetic components with their
-defining formulas, and one ``query_<kind>`` call per charged query, which
-only charges the ledger."""
+defining formulas, one ``query_<kind>`` call per charged query, which
+only charges the ledger, and index ranges, which give exactly what their
+lists give."""
 
 import math
 import sys
