@@ -33,22 +33,13 @@ def _max_spectral_norm(mats: np.ndarray) -> float:
     return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
 
 
-class AffineQuadraticProblem(CompositionProblem):
-    """Affine inner map with quadratic outer components.
-
-        G_j(x) = A_j x + b_j            F_i(w) = 0.5 * ||w - c_i||^2
-
-    The composite objective is an exact quadratic,
-
-        f(x) = 0.5 * ||Abar x + bbar - cbar||^2 + const,
-
-    with bar quantities the component means, so both the objective and
-    its gradient Abar^T (Abar x + bbar - cbar) have closed forms usable
-    as oracles.  Constants: the Jacobian bound is max_j ||A_j||_2, the
-    Jacobians are constant (Lipschitz constant 0), and each grad F_i is
-    1-Lipschitz.  The outer gradients are not globally bounded; the
-    declared bound is a nominal placeholder used only by parameter
-    suggestion.
+class _AffineInnerProblem(CompositionProblem):
+    """Affine inner map G_j(x) = A_j x + b_j over the stacks ``mats``
+    (m, M, N) and ``offs`` (m, M), with outer targets ``targets`` (n, M).
+    The base owns the constructor, which checks those shapes, and the
+    inner batch kernels.  Each subclass keeps its own four per-component
+    methods: they are its reference, and the traced benchmark spans them
+    in the subclass's own ``__dict__``.
     """
 
     def __init__(self, mats: np.ndarray, offs: np.ndarray, targets: np.ndarray):
@@ -64,9 +55,49 @@ class AffineQuadraticProblem(CompositionProblem):
         self.targets = targets
         self.m_inner, self.dim_w, self.dim_x = mats.shape
         self.n_outer = targets.shape[0]
-        self.mean_mat = mats.mean(axis=0)
-        self.mean_off = offs.mean(axis=0)
-        self.mean_target = targets.mean(axis=0)
+
+    def inner_values(self, js, x):
+        idx = _row_index(js, self.m_inner)
+        return _rows(self.mats, idx) @ x + _rows(self.offs, idx)
+
+    def inner_vjps(self, js, x, v):
+        return _rows(self.mats, _row_index(js, self.m_inner)).transpose(0, 2, 1) @ v
+
+    def compact_jacobians(self, js, x):
+        return _rows(self.mats, _row_index(js, self.m_inner)).copy()
+
+
+def _row_index(ks, count: int) -> slice | list[int]:
+    """The rows k - 1 for k in ``ks`` of ``count``: a slice for a step-1
+    ``range`` inside 1..count, as full evaluations pass, else a list."""
+    if type(ks) is range and ks.step == 1 and 1 <= ks.start <= ks.stop <= count + 1:
+        return slice(ks.start - 1, ks.stop - 1)
+    return [k - 1 for k in ks]
+
+
+def _rows(arr: np.ndarray, idx) -> np.ndarray:
+    """arr's rows ``idx`` (a :func:`_row_index`), stacked: a slice is a view
+    of ``arr`` that the caller must not write into; ``take`` copies."""
+    return arr[idx] if type(idx) is slice else arr.take(idx, axis=0)
+
+
+class AffineQuadraticProblem(_AffineInnerProblem):
+    """Affine inner map with quadratic outer components.
+
+        G_j(x) = A_j x + b_j            F_i(w) = 0.5 * ||w - c_i||^2
+
+    The composite objective is an exact quadratic,
+
+        f(x) = 0.5 * ||Abar x + bbar - cbar||^2 + const,
+
+    with bar quantities the component means, so both the objective and
+    its gradient Abar^T (Abar x + bbar - cbar) have closed forms, the
+    oracles of :mod:`scvr.verification`.  Constants: the Jacobian bound
+    is max_j ||A_j||_2, the Jacobians are constant (Lipschitz constant 0),
+    and each grad F_i is 1-Lipschitz.  The outer gradients are not
+    globally bounded; the declared bound is a nominal placeholder used
+    only by parameter suggestion.
+    """
 
     def _estimate_constants(self) -> SmoothnessConstants:
         b_g = _max_spectral_norm(self.mats)
@@ -84,22 +115,6 @@ class AffineQuadraticProblem(CompositionProblem):
 
     def outer_component_gradient(self, i, w):
         return w - self.targets[i - 1]
-
-    # closed-form oracles ---------------------------------------------------
-
-    def oracle_objective(self, x: np.ndarray) -> float:
-        r = self.mean_mat @ x + self.mean_off - self.mean_target
-        spread = self.targets - self.mean_target
-        return 0.5 * float(r @ r) + 0.5 * float((spread * spread).sum()) / self.n_outer
-
-    def oracle_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.mean_mat.T @ (self.mean_mat @ x + self.mean_off - self.mean_target)
-
-    def minimizer(self) -> np.ndarray:
-        """Least-squares stationary point of the quadratic composite."""
-        a = self.mean_mat
-        rhs = a.T @ (self.mean_target - self.mean_off)
-        return np.linalg.solve(a.T @ a, rhs)
 
 
 def make_affine_quadratic(
@@ -154,7 +169,7 @@ def _rho_prime(t: np.ndarray) -> np.ndarray:
     return t
 
 
-class NonconvexSyntheticProblem(CompositionProblem):
+class NonconvexSyntheticProblem(_AffineInnerProblem):
     """Affine inner map composed with a smooth bounded nonconvex outer.
 
         G_j(x) = A_j x + b_j
@@ -169,16 +184,6 @@ class NonconvexSyntheticProblem(CompositionProblem):
 
     RHO_PRIME_MAX = 3.0 * math.sqrt(3.0) / 8.0
     RHO_SECOND_MAX = 2.0
-
-    def __init__(self, mats: np.ndarray, offs: np.ndarray, targets: np.ndarray):
-        mats = np.asarray(mats, dtype=float)
-        offs = np.asarray(offs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        self.mats = mats
-        self.offs = offs
-        self.targets = targets
-        self.m_inner, self.dim_w, self.dim_x = mats.shape
-        self.n_outer = targets.shape[0]
 
     def _estimate_constants(self) -> SmoothnessConstants:
         b_g = _max_spectral_norm(self.mats)
@@ -202,33 +207,13 @@ class NonconvexSyntheticProblem(CompositionProblem):
     def outer_component_gradient(self, i, w):
         return _rho_prime(w - self.targets[i - 1])
 
-    # batch forms: the same expressions on the rows mats[j - 1] and
-    # targets[i - 1] taken as stacks
-
-    def inner_values(self, js, x):
-        return _rows(self.mats, js) @ x + _rows(self.offs, js)
-
-    def inner_vjps(self, js, x, v):
-        return _rows(self.mats, js).transpose(0, 2, 1) @ v
-
-    def compact_jacobians(self, js, x):
-        return _rows(self.mats, js).copy()
+    # the outer batch forms: the same expressions on stacked targets rows
 
     def outer_values(self, is_, w):
-        return _rho(w - _rows(self.targets, is_)).sum(axis=1)
+        return _rho(w - _rows(self.targets, _row_index(is_, self.n_outer))).sum(axis=1)
 
     def outer_gradients(self, is_, w):
-        return _rho_prime(w - _rows(self.targets, is_))
-
-
-def _rows(arr: np.ndarray, ks) -> np.ndarray:
-    """arr[k - 1] for k in ``ks``, stacked.  A step-1 ``range`` inside
-    1..len(arr), as full evaluations pass, is the basic slice, a view of
-    ``arr`` that the caller must not write into; other indices go through
-    ``take``, which copies."""
-    if type(ks) is range and ks.step == 1 and 1 <= ks.start <= ks.stop <= len(arr) + 1:
-        return arr[ks.start - 1 : ks.stop - 1]
-    return arr.take([k - 1 for k in ks], axis=0)
+        return _rho_prime(w - _rows(self.targets, _row_index(is_, self.n_outer)))
 
 
 def make_nonconvex_synthetic(

@@ -39,6 +39,25 @@ def test_nonconvex_gradient_matches_fd(nonconvex_small):
     _fd_check(nonconvex_small, points=20, rel_tol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "cls", [problems.AffineQuadraticProblem, problems.NonconvexSyntheticProblem]
+)
+@pytest.mark.parametrize(
+    "mats, offs, targets",
+    [
+        (np.ones((3, 3)), np.zeros((2, 3)), np.zeros((4, 3))),  # 2-D mats
+        (np.ones((2, 3, 3)), np.zeros(3), np.zeros((4, 3))),  # 1-D offs
+        (np.ones((2, 3, 3)), np.zeros((2, 3)), np.zeros(3)),  # 1-D targets
+        (np.ones((2, 3, 3)), np.zeros((2, 1)), np.zeros((4, 3))),  # offs would broadcast
+        (np.ones((2, 3, 3)), np.zeros((3, 3)), np.zeros((4, 3))),  # one offset too many
+        (np.ones((2, 3, 3)), np.zeros((2, 3)), np.zeros((4, 2))),  # targets too short
+    ],
+)
+def test_affine_inner_problems_reject_inconsistent_shapes(cls, mats, offs, targets):
+    with pytest.raises(ProblemConstructionError):
+        cls(mats, offs, targets)
+
+
 def test_curved_gradient_matches_fd(curved_inner):
     _fd_check(curved_inner, points=10, rel_tol=1e-6)
 
@@ -50,10 +69,10 @@ def test_sne_gradient_matches_fd(sne_small):
 def test_affine_oracles(affine_small):
     x = np.array([1.2, -0.8, 0.4])
     assert core.objective(affine_small, x, QueryLedger()) == pytest.approx(
-        affine_small.oracle_objective(x), abs=1e-10
+        verification.affine_objective(affine_small, x), abs=1e-10
     )
     grad = core.full_gradient(affine_small, x, QueryLedger())
-    assert np.abs(grad - affine_small.oracle_gradient(x)).max() < 1e-10
+    assert np.abs(grad - verification.affine_gradient(affine_small, x)).max() < 1e-10
 
 
 # -- lazy constants ------------------------------------------------------------------

@@ -400,11 +400,12 @@ def test_range_outside_or_not_step_one_behaves_as_its_list(range_problem, helper
 
 
 def test_compact_jacobians_of_a_full_range_do_not_alias_the_matrices():
-    problem = problems.make_nonconvex_synthetic(n=6, m=5, dim_x=3, dim_w=4, seed=2)
-    mats = problem.mats.copy()
-    stack = core.query_compact_jacobians(
-        problem, range(1, problem.m_inner + 1), np.zeros(3), QueryLedger()
-    )
-    stack[0, 0, 0] += 1.0
-    stack[-1] = 0.0
-    assert problem.mats.tobytes() == mats.tobytes()
+    for make in (problems.make_nonconvex_synthetic, problems.make_affine_quadratic):
+        problem = make(n=6, m=5, dim_x=3, dim_w=4, seed=2)
+        mats = problem.mats.copy()
+        stack = core.query_compact_jacobians(
+            problem, range(1, problem.m_inner + 1), np.zeros(3), QueryLedger()
+        )
+        stack[0, 0, 0] += 1.0
+        stack[-1] = 0.0
+        assert problem.mats.tobytes() == mats.tobytes()
