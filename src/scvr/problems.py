@@ -207,8 +207,6 @@ class NonconvexSyntheticProblem(_AffineInnerProblem):
     def outer_component_gradient(self, i, w):
         return _rho_prime(w - self.targets[i - 1])
 
-    # the outer batch forms: the same expressions on stacked targets rows
-
     def outer_values(self, is_, w):
         return _rho(w - _rows(self.targets, _row_index(is_, self.n_outer))).sum(axis=1)
 

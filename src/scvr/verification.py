@@ -3,10 +3,11 @@ verify`` invariant suite that runs them.
 
 The oracles are central finite differences, exact means of an estimator
 over its whole batch space, exact second moments of an estimator's
-deviation from an anchor, and the affine-quadratic problem's closed
-forms.  Every oracle runs on its own throwaway ledger, so invoking the
-whole suite leaves algorithmic query counts untouched.  Batch spaces larger than :data:`ENUM_GUARD` are refused.
-Each check of :data:`VERIFY_CHECKS` returns (ok, detail).
+deviation from an anchor, and the affine-quadratic closed forms.  Every
+oracle runs on its own throwaway ledger, so invoking the whole suite
+leaves algorithmic query counts untouched.  Batch spaces larger than
+:data:`ENUM_GUARD` are refused.  Each check of :data:`VERIFY_CHECKS`
+returns (ok, detail).
 """
 
 from __future__ import annotations
